@@ -24,12 +24,11 @@ from .engine import (
     ConvergenceError,
     InfeasibleConstraintError,
     PriorSpec,
-    expected_f,
-    log_zeta,
     me_entropy,
     posterior,
     posterior_summary,
     solve_beta,
+    tilt_table,
 )
 from .fileio import (
     EngineSettings,
@@ -124,6 +123,11 @@ def _parse_view(text: str | None, counts: CountVector) -> AgentView:
     if text.strip().lower() == "none":
         return AgentView.empty(counts.k, counts.n)
     sides = [int(v) for v in text.split(",") if v.strip()]
+    for s in sides:
+        if not 1 <= s <= counts.k:
+            raise ValueError(f"--view side {s} is out of range [1, {counts.k}]")
+    if len(set(sides)) != len(sides):
+        raise ValueError(f"--view repeats a side: {text!r}")
     return AgentView.from_mapping(
         counts.k, counts.n, {s: counts.counts[s - 1] for s in sides}
     )
@@ -252,17 +256,11 @@ def cmd_sweep_beta(args: argparse.Namespace) -> int:
     if args.beta_max < args.beta_min:
         raise ValueError("beta range is empty")
     steps = int(round((args.beta_max - args.beta_min) / args.beta_step))
-    rows = []
-    for i in range(steps + 1):
-        beta = args.beta_min + i * args.beta_step
-        lz = log_zeta(prior, view, constraint, beta, engine)
-        ef = expected_f(prior, view, constraint, beta, engine)
-        rows.append({
-            "beta": beta,
-            "log_zeta": lz,
-            "expected_f": ef,
-            "s_me": lz - beta * ef,
-        })
+    betas = [args.beta_min + i * args.beta_step for i in range(steps + 1)]
+    rows = [
+        {"beta": beta, "log_zeta": lz, "expected_f": ef, "s_me": lz - beta * ef}
+        for beta, (lz, ef) in zip(betas, tilt_table(prior, view, constraint, betas, engine))
+    ]
     write_sweep_csv(args.out, rows)
     print(f"sweep-beta: {len(rows)} rows -> {args.out}", file=sys.stderr)
     return EXIT_OK

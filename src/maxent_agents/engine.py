@@ -307,6 +307,16 @@ def expected_f(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
     return _TiltedFamily(prior, view, constraint, engine).expected_f(beta)
 
 
+def tilt_table(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
+               betas: Sequence[float], engine) -> list[tuple[float, float]]:
+    """(log_zeta, <f>) at each beta, all from one build of the node data.
+
+    Each pair equals `log_zeta(...)` and `expected_f(...)` at that beta.
+    """
+    fam = _TiltedFamily(prior, view, constraint, engine)
+    return [(fam.log_zeta(beta), fam.expected_f(beta)) for beta in betas]
+
+
 def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec, engine,
                tol: float = DEFAULT_SOLVER_TOL,
                max_iter: int = DEFAULT_MAX_ITER) -> SolvedConstraint:

@@ -5,12 +5,15 @@ die side; it always knows the total roll count and the shared moment
 target, and it sees the counts of every side assigned within graph
 distance `round` of itself (round 0: own side only; round 1: own side plus
 direct neighbors; a round at least the graph diameter reveals everything).
-Every agent runs the same inference engine on its own view, so agents with
-identical views hold bit-identical beliefs.  Per-agent runs touch only
-immutable shared inputs and results are collected in agent-index order.
+Every agent runs the same inference engine on its own view.  Agents with
+identical views share one fit (one beta solve, one posterior model, one
+summary), so their beliefs are the same object and their divergence is
+exactly 0.  Fits touch only immutable shared inputs and results are
+collected in agent-index order.
 """
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -173,23 +176,38 @@ def infer_all(net: AgentNetwork, counts: CountVector, round: int, prior: PriorSp
               constraint: ConstraintSpec, engine) -> BeliefTable:
     """Run the same solve for every agent on its own view.
 
-    One agent failing (infeasible constraint, non-convergence) does not
-    abort the others; its exception is recorded under its agent index.
+    Each distinct view is fitted once per call and every agent holding it
+    gets the same entry.  One view failing (infeasible constraint,
+    non-convergence) does not abort the others; each agent holding it gets
+    its own copy of the exception, prefixed with its agent index.
     """
     views = views_at_round(net, counts, round)
+    fits: dict[AgentView, BeliefEntry | Exception] = {}
     entries: dict[int, BeliefEntry] = {}
     errors: dict[int, Exception] = {}
     for agent in range(1, net.k + 1):
         view = views[agent]
-        try:
-            solved = solve_beta(prior, view, constraint, engine)
-            model = posterior(prior, view, solved, engine)
-            summary = posterior_summary(model)
-            entries[agent] = BeliefEntry(view=view, model=model, summary=summary)
-        except Exception as exc:  # noqa: BLE001 - per-agent isolation is the contract
-            exc.args = (f"agent {agent}: {exc}",) + exc.args[1:]
-            errors[agent] = exc
+        if view not in fits:
+            try:
+                solved = solve_beta(prior, view, constraint, engine)
+                model = posterior(prior, view, solved, engine)
+                summary = posterior_summary(model)
+                fits[view] = BeliefEntry(view=view, model=model, summary=summary)
+            except Exception as exc:  # noqa: BLE001 - per-agent isolation is the contract
+                fits[view] = exc
+        fit = fits[view]
+        if isinstance(fit, BeliefEntry):
+            entries[agent] = fit
+        else:
+            errors[agent] = _agent_error(agent, fit)
     return BeliefTable(entries=entries, errors=errors)
+
+
+def _agent_error(agent: int, exc: Exception) -> Exception:
+    """A copy of `exc` whose message names the agent; `exc` is left as it is."""
+    err = copy.copy(exc)
+    err.args = (f"agent {agent}: {exc}",) + exc.args[1:]
+    return err.with_traceback(exc.__traceback__)
 
 
 def belief_divergence(table: BeliefTable, a: int, b: int, engine=None) -> float:
@@ -197,12 +215,14 @@ def belief_divergence(table: BeliefTable, a: int, b: int, engine=None) -> float:
 
     KL(p_a || p_b) + KL(p_b || p_a), each term evaluated under the nodes of
     the model whose expectation it is; >= 0, and 0 exactly when the two
-    densities coincide on all nodes.
+    densities coincide on all nodes; agents sharing one fit get 0.0 at once.
     """
     for agent in (a, b):
         if agent not in table.entries:
             raise KeyError(f"agent {agent} has no entry in the belief table")
     ma, mb = table.entries[a].model, table.entries[b].model
+    if ma is mb:
+        return 0.0
 
     def one_sided(p: PosteriorModel, q: PosteriorModel) -> float:
         fam = p._family

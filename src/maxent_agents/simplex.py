@@ -26,7 +26,6 @@ no matter how callers schedule the work.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -71,25 +70,24 @@ class ThetaPoint:
 def compositions(total: int, parts: int) -> np.ndarray:
     """All compositions of `total` into `parts` non-negative integers.
 
-    Returns an array of shape (C(total+parts-1, parts-1), parts), in a fixed
-    deterministic (lexicographic bar-position) order.
+    Returns an int64 array of shape (C(total+parts-1, parts-1), parts) in
+    lexicographic order of the rows.  The table grows one part at a time:
+    a partial row with `left` units still unassigned fans out into
+    left + 1 rows that take 0..left units for the next part.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    bars = np.array(
-        list(itertools.combinations(range(total + parts - 1), parts - 1)),
-        dtype=np.int64,
-    )
-    padded = np.hstack(
-        [
-            np.full((len(bars), 1), -1, dtype=np.int64),
-            bars,
-            np.full((len(bars), 1), total + parts - 1, dtype=np.int64),
-        ]
-    )
-    return np.diff(padded, axis=1) - 1
+    left = np.array([total], dtype=np.int64)
+    rows = np.empty((1, parts), dtype=np.int64)
+    for j in range(parts - 1):
+        fan = left + 1
+        parent = np.repeat(np.arange(left.size), fan)
+        part = np.arange(parent.size) - np.repeat(np.cumsum(fan) - fan, fan)
+        rows = rows.take(parent, axis=0)
+        rows[:, j] = part
+        left = left.take(parent) - part
+    rows[:, -1] = left
+    return rows
 
 
 def lattice_scale(k: int, r: int) -> tuple[float, float]:
@@ -114,9 +112,6 @@ class SimplexGrid:
     @property
     def node_count(self) -> int:
         return self.nodes.shape[0]
-
-    def node(self, j: int) -> ThetaPoint:
-        return ThetaPoint.of(self.nodes[j])
 
 
 def build_grid(k: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET) -> SimplexGrid:

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxent_agents import (
+    AgentView,
     ConstraintSpec,
     EngineSettings,
     ExperimentConfig,
+    GridEngine,
     PriorSpec,
     expected_f,
+    log_zeta,
 )
 from maxent_agents.cli import main
 from maxent_agents.fileio import (
@@ -220,6 +223,21 @@ class TestInfer:
         )
         assert agent["residual"] <= 1e-9
 
+    @pytest.mark.parametrize("command", ["infer", "sweep-beta"])
+    @pytest.mark.parametrize("view", ["5", "0", "1,1"])
+    def test_bad_view_sides_exit_code(self, tmp_path, capsys, command, view):
+        config = write_config(tmp_path / "c.json", engine={"grid": 30})
+        counts = tmp_path / "counts.json"
+        write_payload(counts, {"k": 3, "n": 10, "counts": [5, 3, 2], "seed": 7})
+        argv = [command, "--config", str(config), "--counts", str(counts),
+                "--out", str(tmp_path / "x"), "--view", view]
+        if command == "sweep-beta":
+            argv += ["--beta-min", "0", "--beta-max", "1", "--beta-step", "0.5"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--view" in err
+        assert "Traceback" not in err
+
 
 class TestNetworkCmd:
     def _counts(self, tmp_path):
@@ -298,6 +316,34 @@ class TestSweepBeta:
         at_zero = rows[8]
         assert at_zero[0] == 0.0
         assert at_zero[2] == pytest.approx(-1 / 3, abs=1e-12)
+
+    def test_one_basis_build_per_sweep(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path / "c.json", engine={"grid": 60})
+        counts = tmp_path / "counts.json"
+        write_payload(counts, {"k": 3, "n": 10, "counts": [5, 3, 2], "seed": 7})
+        calls = []
+        basis = GridEngine.basis
+
+        def counting_basis(self, prior, view):
+            calls.append(view)
+            return basis(self, prior, view)
+
+        monkeypatch.setattr(GridEngine, "basis", counting_basis)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-beta", "--config", str(config), "--counts", str(counts),
+                     "--out", str(out), "--view", "1,3",
+                     "--beta-min", "-2", "--beta-max", "2", "--beta-step", "0.25"]) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # Every row matches the one-beta functions exactly.
+        prior, spec = PriorSpec.flat(3), ConstraintSpec.of([1.0, 0.0, -2.0], 0.0)
+        view, engine = AgentView.from_mapping(3, 10, {1: 5, 3: 2}), GridEngine(3, 60)
+        lines = out.read_text().strip().splitlines()[1:]
+        assert len(lines) == 17
+        for line in lines:
+            beta, lz, ef, _ = (float(v) for v in line.split(","))
+            assert lz == log_zeta(prior, view, spec, beta, engine)
+            assert ef == expected_f(prior, view, spec, beta, engine)
 
     def test_bad_range(self, tmp_path):
         config = write_config(tmp_path / "c.json")

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from maxent_agents import network
 from maxent_agents import (
     AgentView,
     ConstraintSpec,
@@ -201,12 +202,43 @@ class TestInferAll:
         table = infer_all(net, counts, 1, FLAT3, BIAS, eng240)
         assert table.entries[1].summary == table.entries[2].summary
 
+    def test_identical_views_fitted_once(self, eng240, monkeypatch):
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[1])
+            return solve_beta(*args, **kwargs)
+
+        monkeypatch.setattr(network, "solve_beta", counting_solve)
+        counts = CountVector.of([7, 2, 1])
+        table = infer_all(complete_network(3), counts, 1, FLAT3, BIAS, eng240)
+        assert calls == [AgentView.full(counts)]
+        entries = [table.entries[a] for a in (1, 2, 3)]
+        assert entries[0].model is entries[1].model is entries[2].model
+
+    def test_shared_failure_gives_each_agent_its_own_error(self, eng240):
+        counts = CountVector.of([7, 2, 1])
+        bad = ConstraintSpec.of([1.0, 0.0, -2.0], 1.5)
+        with pytest.raises(InfeasibleConstraintError) as direct:
+            solve_beta(FLAT3, AgentView.full(counts), bad, eng240)
+        table = infer_all(complete_network(3), counts, 1, FLAT3, bad, eng240)
+        errors = [table.errors[a] for a in (1, 2, 3)]
+        assert len({id(e) for e in errors}) == 3
+        for agent, err in zip((1, 2, 3), errors):
+            assert isinstance(err, InfeasibleConstraintError)
+            assert str(err) == f"agent {agent}: {direct.value}"
+
 
 class TestBeliefDivergence:
     def test_identical_views_zero(self, eng240):
         net = complete_network(3)
         table = infer_all(net, CountVector.of([5, 3, 2]), 1, FLAT3, BIAS, eng240)
         assert belief_divergence(table, 1, 2) <= 1e-10
+
+    def test_shared_model_exactly_zero(self, eng240):
+        table = infer_all(complete_network(3), CountVector.of([5, 3, 2]), 1, FLAT3, BIAS, eng240)
+        assert table.entries[1].model is table.entries[3].model
+        assert belief_divergence(table, 1, 3) == 0.0
 
     def test_nonnegative_and_symmetric(self, eng240):
         net = complete_network(3)

@@ -15,6 +15,7 @@ from maxent_agents import (
     expect_mc,
 )
 from maxent_agents.simplex import compositions, sample_dirichlet
+from oracles import compositions as compositions_oracle
 
 EXP_TH1 = 2 * math.e - 4  # int_0^1 e^t * 2(1-t) dt, the Beta(1,2) marginal of theta_1
 
@@ -81,6 +82,21 @@ class TestBuildGrid:
             build_grid(1, 5)
         with pytest.raises(ValueError):
             build_grid(3, 0)
+
+
+class TestCompositions:
+    @pytest.mark.parametrize("total, parts", [
+        (0, 1), (7, 1), (0, 2), (0, 5), (1, 2), (5, 2), (4, 3), (30, 3), (6, 4), (3, 7),
+    ])
+    def test_compositions_match_oracle_row_for_row(self, total, parts):
+        rows = compositions(total, parts)
+        assert rows.dtype == np.int64
+        assert rows.shape == (math.comb(total + parts - 1, parts - 1), parts)
+        assert [tuple(int(v) for v in row) for row in rows] == compositions_oracle(total, parts)
+
+    def test_compositions_reject_no_parts(self):
+        with pytest.raises(ValueError, match="parts"):
+            compositions(3, 0)
 
 
 class TestExpectGrid:
