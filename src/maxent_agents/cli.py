@@ -202,13 +202,15 @@ def cmd_network(args: argparse.Namespace) -> int:
     table = infer_all(net, counts, config.round, prior, constraint, engine)
     agents_payload = []
     iterations = []
+    entropies = {}  # model -> EntropyReport; agents sharing a fit share one model
     for agent in range(1, net.k + 1):
         if agent in table.entries:
             entry = table.entries[agent]
-            entropy = me_entropy(entry.model)
+            if entry.model not in entropies:
+                entropies[entry.model] = me_entropy(entry.model)
             payload = {"agent": agent}
             payload.update(_agent_payload(entry.view, entry.model.solved,
-                                          entry.summary, entropy))
+                                          entry.summary, entropies[entry.model]))
             agents_payload.append(payload)
             iterations.append(entry.model.solved.iterations)
         else:

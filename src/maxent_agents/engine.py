@@ -8,15 +8,16 @@ of whatever counts an agent can see, and one linear moment target
 
 where the multiplier beta is the unique root of <f>_beta = F.  <f>_beta is
 strictly increasing in beta (its derivative is the posterior variance of
-f), so a bracketed bisection is the correctness path for the solve.
+f), so the solve takes Newton steps toward <f>_beta = F inside a sign
+bracket and falls back to bisection whenever a step would leave it.
 
 Everything is normalized on the engine's own nodes: zeta is the engine
 expectation, under the flat reference measure, of the unnormalized density,
 so every posterior integrates to exactly 1 under the engine that built it
 and tilt expectations are ratios of sums sharing one set of nodes.  All
 densities are handled in log space; the beta-independent part of the
-log-integrand is computed once per (prior, view, engine) and reused across
-every beta the solver visits.
+log-integrand is computed once per (prior, view, engine), reused across
+every beta the solver visits, and handed on to the posterior it fitted.
 
 With no data the result is the exponentially tilted prior (pure moment
 matching); with beta = 0 it is the conjugate Dirichlet update.  The
@@ -29,6 +30,7 @@ immutable and safe to share across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -127,7 +129,10 @@ class ConstraintSpec:
 
 @dataclass(frozen=True)
 class SolvedConstraint:
-    """A fitted multiplier: beta, the log normalizer, and the residual."""
+    """A fitted multiplier: beta, the log normalizer, and the residual.
+
+    `solve_beta` also keeps the tilted family it fitted on, for `posterior`.
+    """
 
     spec: ConstraintSpec
     beta: float
@@ -136,6 +141,7 @@ class SolvedConstraint:
     tol: float
     provenance: tuple
     iterations: int = 0
+    _family: _TiltedFamily | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.residual <= self.tol:
@@ -283,6 +289,13 @@ class _TiltedFamily:
     def expected_f(self, beta: float) -> float:
         return float(self.posterior_weights(beta) @ self.f)
 
+    def moments_f(self, beta: float) -> tuple[float, float]:
+        """(<f>, Var f) under the beta-tilted posterior, from one weights pass."""
+        w = self.posterior_weights(beta)
+        mean = float(w @ self.f)
+        dev = self.f - mean
+        return mean, float(w @ (dev * dev))
+
     def log_density(self, beta: float, log_zeta: float, theta: np.ndarray) -> np.ndarray:
         """log posterior density (relative to the flat reference) at arbitrary points."""
         pts = np.atleast_2d(theta)
@@ -324,9 +337,18 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec, en
 
     Feasible targets are the open interval (min f_i, max f_i); a constant f
     is feasible only at its own value.  If the constraint already holds at
-    beta = 0 (within tol) the solve returns beta = 0 exactly.  Otherwise the
-    root is bracketed by doubling from [-1, 1] (capped at |beta| = 2^16) and
-    bisected until |<f> - F| <= tol or the interval width falls below 1e-12.
+    beta = 0 (within tol) the solve returns beta = 0 exactly.  Otherwise it
+    takes safeguarded Newton steps from beta = 0 on <f>_beta - F, measured
+    as a logit within the range of f over the engine's nodes, with slope
+    from Var_beta f; <f> and Var f come from one weights pass.  Every
+    evaluated beta tightens a sign bracket [lo, hi].  A Newton step is taken
+    only when it lands strictly inside the bracket; otherwise the bracket is
+    bisected, or, while one side is still open, the step is capped at
+    max(1, 2|beta|) and |beta| at 2^16.  The solve stops when
+    |<f> - F| <= tol; a bracket narrower than 1e-12 or max_iter evaluations
+    without that is a ConvergenceError.  `iterations` counts the
+    tilted-family evaluations after the beta = 0 check.  The fitted family
+    is kept on the result, so `posterior` does not build it again.
     """
     lo_f, hi_f = constraint.attainable_interval()
     if constraint.is_constant:
@@ -341,57 +363,62 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec, en
         )
     fam = _TiltedFamily(prior, view, constraint, engine)
     prov = _provenance(prior, view, constraint, engine)
+    F = constraint.F
 
-    e0 = fam.expected_f(0.0)
-    if abs(e0 - constraint.F) <= tol:
-        return SolvedConstraint(
-            spec=constraint, beta=0.0, log_zeta=fam.log_zeta(0.0),
-            residual=abs(e0 - constraint.F), tol=tol, provenance=prov, iterations=0,
-        )
+    # Newton works on the logit of <f> within (a, b), the range of f over the
+    # nodes.  Near an end <f> approaches it like 1/beta or e^{-c beta}: a
+    # Newton step on <f> itself at most doubles beta there, while the logit
+    # is close to linear in log beta or in beta.
+    a, b = float(fam.f.min()), float(fam.f.max())
 
-    # Bracket the root; expected_f is strictly increasing in beta.
-    lo, hi = -1.0, 1.0
-    e_lo, e_hi = fam.expected_f(lo), fam.expected_f(hi)
-    iters = 2
-    while e_lo > constraint.F:
-        lo *= 2.0
-        if abs(lo) > BETA_CAP:
-            raise ConvergenceError(
-                f"no bracket: <f>({-BETA_CAP:g}) = {e_lo!r} still above F = {constraint.F}"
-            )
-        e_lo = fam.expected_f(lo)
-        iters += 1
-    while e_hi < constraint.F:
-        hi *= 2.0
-        if hi > BETA_CAP:
-            raise ConvergenceError(
-                f"no bracket: <f>({BETA_CAP:g}) = {e_hi!r} still below F = {constraint.F}"
-            )
-        e_hi = fam.expected_f(hi)
-        iters += 1
+    def logit(x: float) -> float:
+        if not a < x < b:
+            return -math.inf if x <= a else math.inf
+        return math.log((x - a) / (b - x))
 
-    beta, resid = 0.5 * (lo + hi), np.inf
-    for _ in range(max_iter):
-        beta = 0.5 * (lo + hi)
-        e_mid = fam.expected_f(beta)
-        iters += 1
-        resid = abs(e_mid - constraint.F)
-        if resid <= tol:
-            break
-        if e_mid < constraint.F:
+    target = logit(F)
+    beta = 0.0
+    e, var = fam.moments_f(beta)
+    resid = abs(e - F)
+    lo, hi = -math.inf, math.inf
+    iters = 0
+    while resid > tol:
+        if e < F:
             lo = beta
         else:
             hi = beta
-        if hi - lo <= 1e-12:
-            break
-    if resid > tol:
-        raise ConvergenceError(
-            f"bisection stalled: beta = {beta!r}, residual = {resid!r} > tol = {tol!r}, "
-            f"interval = [{lo!r}, {hi!r}] after {iters} evaluations"
-        )
+        if hi - lo <= 1e-12 or iters >= max_iter:
+            raise ConvergenceError(
+                f"beta solve stalled: beta = {beta!r}, residual = {resid!r} > tol = {tol!r}, "
+                f"interval = [{lo!r}, {hi!r}] after {iters} evaluations"
+            )
+        # d logit(<f>)/d beta = Var f * (b - a) / ((<f> - a)(b - <f>))
+        gap = (e - a) * (b - e)
+        step = math.nan
+        if gap > 0.0 and var > 0.0:
+            step = (target - logit(e)) * gap / (var * (b - a))
+        if not step * (F - e) > 0.0:  # nan, zero, or pointing away from F
+            step = math.copysign(math.inf, F - e)
+        if math.isinf(lo) or math.isinf(hi):
+            limit = max(1.0, 2.0 * abs(beta))
+            step = min(max(step, -limit), limit)
+        nxt = beta + step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt) > BETA_CAP:
+            if abs(beta) == BETA_CAP:
+                side = "above" if e > F else "below"
+                raise ConvergenceError(
+                    f"no bracket: <f>({beta:g}) = {e!r} still {side} F = {F}"
+                )
+            nxt = math.copysign(BETA_CAP, nxt)
+        beta = nxt
+        e, var = fam.moments_f(beta)
+        resid = abs(e - F)
+        iters += 1
     return SolvedConstraint(
         spec=constraint, beta=beta, log_zeta=fam.log_zeta(beta),
-        residual=resid, tol=tol, provenance=prov, iterations=iters,
+        residual=resid, tol=tol, provenance=prov, iterations=iters, _family=fam,
     )
 
 
@@ -429,7 +456,8 @@ def posterior(prior: PriorSpec, view: AgentView, solved: SolvedConstraint,
     """Build the normalized posterior for a fitted multiplier.
 
     `solved` must have been produced by `solve_beta` for the same prior,
-    view, constraint and engine; anything else is a contract error.
+    view, constraint and engine; anything else is a contract error.  The
+    model wraps the tilted family that the solve built.
     """
     prov = _provenance(prior, view, solved.spec, engine)
     if prov != solved.provenance:
@@ -437,8 +465,10 @@ def posterior(prior: PriorSpec, view: AgentView, solved: SolvedConstraint,
             "solved constraint was produced for different inputs "
             f"(expected {solved.provenance}, got {prov})"
         )
-    fam = _TiltedFamily(prior, view, solved.spec, engine)
-    return PosteriorModel(prior=prior, view=view, solved=solved, engine=engine, _family=fam)
+    if solved._family is None:
+        raise ValueError("solved constraint carries no tilted family; use solve_beta")
+    return PosteriorModel(prior=prior, view=view, solved=solved, engine=engine,
+                          _family=solved._family)
 
 
 def posterior_no_constraint(prior: PriorSpec, view: AgentView, engine) -> PosteriorModel:
@@ -460,7 +490,7 @@ class PosteriorSummary:
     marginals: tuple[tuple[float, ...], ...]
 
 
-def posterior_summary(model: PosteriorModel, engine=None) -> PosteriorSummary:
+def posterior_summary(model: PosteriorModel) -> PosteriorSummary:
     """Component means/variances, <f>, normalization check, marginal tables.
 
     Marginals are per-component density estimates on a fixed abscissa grid
@@ -481,7 +511,8 @@ def posterior_summary(model: PosteriorModel, engine=None) -> PosteriorSummary:
     centers = 0.5 * (edges[:-1] + edges[1:])
     marginals = []
     for i in range(fam.theta.shape[1]):
-        hist, _ = np.histogram(fam.theta[:, i], bins=edges, weights=w)
+        hist, _ = np.histogram(fam.theta[:, i], bins=MARGINAL_BINS, range=(0.0, 1.0),
+                               weights=w)
         marginals.append(tuple(float(v) for v in hist * MARGINAL_BINS))
     return PosteriorSummary(
         means=tuple(float(v) for v in means),
@@ -508,7 +539,7 @@ class EntropyReport:
             raise ValueError(f"s_me must be <= 0, got {self.s_me!r}")
 
 
-def me_entropy(model: PosteriorModel, engine=None) -> EntropyReport:
+def me_entropy(model: PosteriorModel) -> EntropyReport:
     """Entropy of the update: s_me = log zeta - beta * F.
 
     The value is checked against a direct node-wise evaluation of

@@ -15,6 +15,7 @@ row.  The constraint can also be given as command-line shorthand,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -26,12 +27,12 @@ from .simplex import ThetaPoint
 
 
 def _format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    s = format(x, ".17g")
+    if "." in s or "e" in s:
+        return s
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    s = format(float(x), ".17g")
-    if not any(c in s for c in ".e"):
-        s += ".0"
-    return s
+    return s + ".0"
 
 
 def dumps_canonical(obj: Any, indent: int = 0) -> str:
@@ -59,6 +60,8 @@ def dumps_canonical(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(type(v) is float for v in obj):
+            return "[" + ", ".join(map(_format_float, obj)) + "]"
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
         items = ",\n".join(f"{inner}{dumps_canonical(v, indent + 1)}" for v in obj)

@@ -210,7 +210,7 @@ def _agent_error(agent: int, exc: Exception) -> Exception:
     return err.with_traceback(exc.__traceback__)
 
 
-def belief_divergence(table: BeliefTable, a: int, b: int, engine=None) -> float:
+def belief_divergence(table: BeliefTable, a: int, b: int) -> float:
     """Symmetrized relative entropy between two agents' posteriors.
 
     KL(p_a || p_b) + KL(p_b || p_a), each term evaluated under the nodes of

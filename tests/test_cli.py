@@ -17,6 +17,7 @@ from maxent_agents import (
     expected_f,
     log_zeta,
 )
+from maxent_agents import cli
 from maxent_agents.cli import main
 from maxent_agents.fileio import (
     dumps_canonical,
@@ -60,6 +61,32 @@ class TestSerialization:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             dumps_canonical(float("nan"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("inf")])
+    def test_rejects_non_finite_in_lists(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_canonical({"x": [1.0, bad]})
+
+    def test_frozen_payload(self):
+        payload = {
+            "floats": [-0.0, 1.0, 1e300, 5e-324, 1.2345678901234568e17],
+            "mixed": [3, np.float64(0.1), -7],
+            "flags": [True, False, None],
+            "nested": [[0.5, 2], [np.float64(-0.0)], []],
+            "count": 42,
+            "scale": np.float64(1e-5),
+        }
+        assert dumps_canonical(payload) == (
+            '{\n'
+            '  "floats": [-0.0, 1.0, 1.0000000000000001e+300, 4.9406564584124654e-324, '
+            '1.2345678901234568e+17],\n'
+            '  "mixed": [3, 0.10000000000000001, -7],\n'
+            '  "flags": [\n    true,\n    false,\n    null\n  ],\n'
+            '  "nested": [\n    [0.5, 2],\n    [-0.0],\n    []\n  ],\n'
+            '  "count": 42,\n'
+            '  "scale": 1.0000000000000001e-05\n'
+            '}'
+        )
 
     def test_config_round_trip(self, tmp_path):
         config = ExperimentConfig(
@@ -286,6 +313,22 @@ class TestNetworkCmd:
         main(["network", "--config", str(config), "--counts", str(counts), "--out", str(out1)])
         main(["network", "--config", str(config), "--counts", str(counts), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("round_, calls", [(1, 1), (0, 3)])
+    def test_one_entropy_per_shared_model(self, tmp_path, monkeypatch, round_, calls):
+        seen = []
+        entropy = cli.me_entropy
+
+        def counting_entropy(model):
+            seen.append(model)
+            return entropy(model)
+
+        monkeypatch.setattr(cli, "me_entropy", counting_entropy)
+        config = write_config(tmp_path / "c.json", round=round_, engine={"grid": 60})
+        assert main(["network", "--config", str(config),
+                     "--counts", str(self._counts(tmp_path)),
+                     "--out", str(tmp_path / "net.json")]) == 0
+        assert len(seen) == calls
 
     def test_all_fail_exit_code(self, tmp_path):
         config = write_config(tmp_path / "c.json", engine={"grid": 30})

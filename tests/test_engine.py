@@ -1,8 +1,10 @@
 """Solver, posterior, summary, and entropy tests."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from maxent_agents import (
     AgentView,
@@ -23,6 +25,7 @@ from maxent_agents import (
     posterior_summary,
     solve_beta,
 )
+from maxent_agents.engine import BETA_CAP
 
 from oracles import dirichlet_log_rel, entropy_functional, tilted_flat_posterior
 
@@ -160,6 +163,54 @@ class TestSolveBeta:
     def test_trivial_constraint(self, eng240):
         solved = solve_beta(FLAT3, AgentView.empty(3, 5), ConstraintSpec.none(3), eng240)
         assert solved.beta == 0.0 and solved.residual == 0.0
+
+
+class TestNewtonSolve:
+    def test_matches_brentq_on_view_ladder(self, eng240):
+        # n = 10 views with every visible-side pattern, and targets across the
+        # range of f over the nodes, 1e-3 from each end included.
+        f_nodes = eng240.grid.nodes @ np.asarray(BIAS.f)
+        lo, hi = f_nodes.min(), f_nodes.max()
+        rng = np.random.default_rng(2024)
+        for _ in range(2):
+            counts = CountVector.of(rng.multinomial(10, rng.dirichlet(np.ones(3))))
+            for r in range(4):
+                for sides in itertools.combinations((1, 2, 3), r):
+                    view = AgentView.from_mapping(3, 10, {s: counts.counts[s - 1] for s in sides})
+                    for F in (lo + 1e-3, lo + 0.1, -1.0, 0.0, hi - 0.1, hi - 1e-3):
+                        solved = solve_beta(FLAT3, view, ConstraintSpec.of(BIAS.f, F), eng240)
+                        fam = solved._family
+                        ref = brentq(lambda b: fam.expected_f(b) - F, -BETA_CAP, BETA_CAP,
+                                     xtol=1e-13, rtol=1e-15)
+                        # The stop rule pins <f> to tol, which pins beta to tol / Var f.
+                        _, var = fam.moments_f(ref)
+                        assert abs(solved.beta - ref) <= 1e-10 + solved.tol / var
+                        assert solved.iterations <= 12
+
+    def test_solve_then_posterior_builds_one_family(self, eng240, monkeypatch):
+        calls = []
+        basis = GridEngine.basis
+
+        def counting_basis(self, prior, view):
+            calls.append(view)
+            return basis(self, prior, view)
+
+        monkeypatch.setattr(GridEngine, "basis", counting_basis)
+        view = AgentView.full(CountVector.of([5, 3, 2]))
+        solved = solve_beta(FLAT3, view, BIAS, eng240)
+        model = posterior(FLAT3, view, solved, eng240)
+        assert calls == [view]
+        assert posterior_summary(model).expected_f == pytest.approx(0.0, abs=1e-9)
+
+    def test_posterior_rejects_solution_without_family(self, eng240):
+        view = AgentView.empty(3, 0)
+        solved = solve_beta(FLAT3, view, BIAS, eng240)
+        bare = SolvedConstraint(
+            spec=solved.spec, beta=solved.beta, log_zeta=solved.log_zeta,
+            residual=solved.residual, tol=solved.tol, provenance=solved.provenance,
+        )
+        with pytest.raises(ValueError, match="no tilted family"):
+            posterior(FLAT3, view, bare, eng240)
 
 
 class TestPosterior:
