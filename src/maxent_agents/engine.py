@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln
 
-from .multinomial import AgentView, view_log_likelihood_nodes
+from .multinomial import AgentView, log_power, view_log_likelihood_nodes
 from .simplex import (
     DEFAULT_NODE_BUDGET,
     SimplexGrid,
@@ -59,6 +59,11 @@ class InfeasibleConstraintError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """The multiplier solve failed to reach the requested residual."""
+
+
+class EngineRangeError(ConvergenceError):
+    """A feasible target lies outside the range of f over the engine's nodes,
+    which bounds <f> at every beta."""
 
 
 @dataclass(frozen=True)
@@ -88,12 +93,15 @@ class PriorSpec:
     def log_rel_density(self, nodes: np.ndarray) -> np.ndarray:
         """log density relative to the flat Dirichlet reference, vectorized.
 
-        Boundary points are handled with the xlogy conventions, so a flat
-        prior evaluates to 0 everywhere and alpha > 1 gives -inf on faces.
+        The power product prod_i theta_i^{alpha_i - 1} goes through
+        `log_power`: sides with alpha_i = 1 are skipped, so a flat prior is
+        its constant (0) everywhere without a log evaluation.  The others
+        keep the xlogy conventions: alpha < 1 gives +inf and alpha > 1
+        gives -inf on faces.
         """
         alpha = np.asarray(self.dirichlet_params)
         const = gammaln(alpha.sum()) - float(np.sum(gammaln(alpha))) - gammaln(self.k)
-        return const + xlogy(alpha - 1.0, nodes).sum(axis=1)
+        return const + log_power(alpha - 1.0, nodes)
 
 
 @dataclass(frozen=True)
@@ -346,7 +354,9 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec, en
     bisected, or, while one side is still open, the step is capped at
     max(1, 2|beta|) and |beta| at 2^16.  The solve stops when
     |<f> - F| <= tol; a bracket narrower than 1e-12 or max_iter evaluations
-    without that is a ConvergenceError.  `iterations` counts the
+    without that is a ConvergenceError.  A target outside the range of f
+    over the nodes is an EngineRangeError, raised after the beta = 0 check
+    and before any step.  `iterations` counts the
     tilted-family evaluations after the beta = 0 check.  The fitted family
     is kept on the result, so `posterior` does not build it again.
     """
@@ -376,10 +386,15 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec, en
             return -math.inf if x <= a else math.inf
         return math.log((x - a) / (b - x))
 
-    target = logit(F)
     beta = 0.0
     e, var = fam.moments_f(beta)
     resid = abs(e - F)
+    if resid > tol and not a < F < b:
+        raise EngineRangeError(
+            f"target F = {F} lies outside ({a!r}, {b!r}), the interval of <f> "
+            f"attainable on the nodes of {engine!r}; a finer grid widens it"
+        )
+    target = logit(F)
     lo, hi = -math.inf, math.inf
     iters = 0
     while resid > tol:

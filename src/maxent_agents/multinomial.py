@@ -11,6 +11,12 @@ multinomial term
 
 which is what `log_view_likelihood` evaluates.  Enumeration of hidden
 completions is never used outside test oracles.
+
+Both this likelihood and the Dirichlet prior are power products
+prod_i theta_i^{e_i}; `log_power` evaluates their log over an array of
+nodes.  A zero exponent contributes exactly 0 in log space, so its column
+is skipped; the remaining columns keep scipy's `xlogy` conventions (a
+positive exponent on a zero coordinate gives -inf, a negative one +inf).
 """
 from __future__ import annotations
 
@@ -192,8 +198,29 @@ def log_view_likelihood(view: AgentView, theta) -> float:
     return float(val)
 
 
+def log_power(exponents, nodes: np.ndarray) -> np.ndarray:
+    """log prod_i theta_i^{e_i} at each row of `nodes`: xlogy summed over e_i != 0.
+
+    Skipped columns would add exact 0.0 terms, so with fewer than 8 columns
+    the result equals the full-row sum bit for bit (numpy adds such rows
+    left to right).
+    """
+    e = np.asarray(exponents, dtype=float)
+    if nodes.shape[1] != e.size:
+        raise ValueError(f"nodes have {nodes.shape[1]} components, expected {e.size}")
+    cols = np.flatnonzero(e)
+    if cols.size == 0:
+        return np.zeros(nodes.shape[0])
+    return xlogy(e[cols], nodes[:, cols]).sum(axis=1)
+
+
 def view_log_likelihood_nodes(view: AgentView, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized `log_view_likelihood` over an (N, k) array of interior points."""
+    """Vectorized `log_view_likelihood` over an (N, k) array of interior points.
+
+    Zero visible counts drop out of the product term (bit for bit, with
+    fewer than 8 visible sides); the rest term still sums theta over every
+    visible side.
+    """
     if nodes.shape[1] != view.k:
         raise ValueError(f"nodes have {nodes.shape[1]} components, expected {view.k}")
     if not view.visible:
@@ -207,7 +234,9 @@ def view_log_likelihood_nodes(view: AgentView, nodes: np.ndarray) -> np.ndarray:
         - float(np.sum(log_factorial(mv.astype(np.int64))))
         - log_factorial(int(rest_count)),
     )
-    out += xlogy(mv, nodes[:, sides]).sum(axis=1)
+    exponents = np.zeros(view.k)
+    exponents[sides] = mv
+    out += log_power(exponents, nodes)
     if rest_count > 0:
         rest = np.maximum(1.0 - nodes[:, sides].sum(axis=1), 0.0)
         out += xlogy(rest_count, rest)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import xlogy
 
 
 def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -33,6 +34,14 @@ def lattice_nodes(k: int, r: int) -> np.ndarray:
     return (np.array(rows, dtype=float) + shift) / scale
 
 
+def nodes_with_zeros(k: int, r: int, samples: int, seed: int) -> np.ndarray:
+    """Lattice nodes stacked on Dirichlet(1/2) draws with about 1 in 8 coordinates set to 0."""
+    rng = np.random.default_rng(seed)
+    drawn = rng.dirichlet(np.full(k, 0.5), size=samples)
+    drawn[rng.random(drawn.shape) < 0.125] = 0.0
+    return np.vstack([lattice_nodes(k, r), drawn])
+
+
 def fsum_mean(values: np.ndarray) -> float:
     return math.fsum(values.tolist()) / len(values)
 
@@ -50,6 +59,25 @@ def dirichlet_log_rel(alpha, pts: np.ndarray) -> np.ndarray:
     for i, a in enumerate(alpha):
         out += (a - 1.0) * np.log(pts[:, i])
     return out
+
+
+def power_product_full(exponents, pts: np.ndarray) -> np.ndarray:
+    """log prod_i theta_i^{e_i} with xlogy over every column, zero exponents included."""
+    return xlogy(np.asarray(exponents, dtype=float), pts).sum(axis=1)
+
+
+def assert_row_sums_close(got: np.ndarray, ref: np.ndarray, terms: np.ndarray,
+                          rtol: float = 1e-14) -> None:
+    """got == ref up to rtol of each row's summed term magnitudes.
+
+    A plain relative tolerance on the result fails where the terms cancel;
+    reassociating the sum moves it by an ulp of the terms, not of the result.
+    Infinities and nans must sit in the same places with the same values.
+    """
+    finite = np.isfinite(ref)
+    np.testing.assert_array_equal(got[~finite], ref[~finite])
+    got, ref, terms = got[finite], ref[finite], terms[finite]
+    assert np.all(np.abs(got - ref) <= rtol * (np.abs(terms).sum(axis=1) + np.abs(ref)))
 
 
 def log_multinomial_pmf(counts, theta) -> float:

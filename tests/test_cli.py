@@ -206,8 +206,8 @@ class TestInfer:
         assert "(-2.0, 1.0)" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self, tmp_path):
-        # Feasible in exact arithmetic but unreachable on interior nodes:
-        # the bracket expansion runs into its cap.
+        # Feasible in exact arithmetic but outside the range of f over the
+        # r=30 interior nodes: the solve reports the engine's own interval.
         config = write_config(tmp_path / "c.json", engine={"grid": 30})
         counts = tmp_path / "counts.json"
         write_payload(counts, {"k": 3, "n": 10, "counts": [5, 3, 2], "seed": 7})

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import gammaln, xlogy
 
 from maxent_agents import (
     AgentView,
@@ -25,9 +26,16 @@ from maxent_agents import (
     posterior_summary,
     solve_beta,
 )
-from maxent_agents.engine import BETA_CAP
+from maxent_agents.engine import BETA_CAP, EngineRangeError, _TiltedFamily
 
-from oracles import dirichlet_log_rel, entropy_functional, tilted_flat_posterior
+from oracles import (
+    assert_row_sums_close,
+    dirichlet_log_rel,
+    entropy_functional,
+    nodes_with_zeros,
+    power_product_full,
+    tilted_flat_posterior,
+)
 
 FLAT3 = PriorSpec.flat(3)
 BIAS = ConstraintSpec.of([1.0, 0.0, -2.0], 0.0)
@@ -66,6 +74,28 @@ class TestSpecs:
                 spec=BIAS, beta=0.0, log_zeta=0.0, residual=1e-3, tol=1e-9,
                 provenance=(),
             )
+
+
+class TestPriorDensity:
+    @pytest.mark.parametrize("k", [2, 3, 4, 7, 8, 16])
+    def test_matches_full_column_xlogy(self, k):
+        # Skipping alpha = 1 sides drops exact 0.0 terms; numpy sums rows of
+        # fewer than 8 columns left to right, so only k >= 8 may move an ulp.
+        rng = np.random.default_rng(k)
+        pts = nodes_with_zeros(k, 5 if k > 4 else 12, 300, seed=k)
+        mixed = np.resize([1.0, 0.5, 2.5], k)
+        for alpha in (np.ones(k), mixed, rng.choice([1.0, 0.5, 2.5], size=k)):
+            prior = PriorSpec.of(alpha)
+            const = gammaln(alpha.sum()) - float(np.sum(gammaln(alpha))) - gammaln(k)
+            # Rows with a zero under alpha < 1 and another under alpha > 1
+            # are inf - inf = nan in both forms.
+            with np.errstate(invalid="ignore"):
+                ref = const + power_product_full(alpha - 1.0, pts)
+                got = prior.log_rel_density(pts)
+            if k <= 7 or np.all(alpha == 1.0):
+                np.testing.assert_array_equal(got, ref)
+            else:
+                assert_row_sums_close(got, ref, xlogy(alpha - 1.0, pts))
 
 
 class TestLogZeta:
@@ -163,6 +193,24 @@ class TestSolveBeta:
     def test_trivial_constraint(self, eng240):
         solved = solve_beta(FLAT3, AgentView.empty(3, 5), ConstraintSpec.none(3), eng240)
         assert solved.beta == 0.0 and solved.residual == 0.0
+
+    def test_target_outside_engine_range(self, monkeypatch):
+        # Feasible in exact arithmetic, but the r=30 nodes only reach
+        # <f> < 0.9367; the solve says so before taking any step.
+        calls = []
+        moments_f = _TiltedFamily.moments_f
+
+        def counting(self, beta):
+            calls.append(beta)
+            return moments_f(self, beta)
+
+        monkeypatch.setattr(_TiltedFamily, "moments_f", counting)
+        view = AgentView.full(CountVector.of([5, 3, 2]))
+        target = ConstraintSpec.of([1, 0, -2], 0.999999999999)
+        with pytest.raises(EngineRangeError,
+                           match=r"0\.9366\d*\).*GridEngine\(k=3, resolution=30\).*finer grid"):
+            solve_beta(FLAT3, view, target, GridEngine(3, 30))
+        assert calls == [0.0]
 
 
 class TestNewtonSolve:

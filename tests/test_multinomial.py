@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from maxent_agents import (
     AgentView,
@@ -15,9 +16,16 @@ from maxent_agents import (
     log_view_likelihood,
     simulate_rolls,
 )
-from maxent_agents.multinomial import view_log_likelihood_nodes
+from maxent_agents import multinomial
+from maxent_agents.multinomial import log_power, view_log_likelihood_nodes
 
-from oracles import compositions, view_loglik_brute
+from oracles import (
+    assert_row_sums_close,
+    compositions,
+    nodes_with_zeros,
+    power_product_full,
+    view_loglik_brute,
+)
 
 # log of 2520 * 0.5^5 * 0.3^3 * 0.2^2, checked with 50-digit arithmetic
 LOG_PMF_532 = -2.4645159601402662834
@@ -171,6 +179,64 @@ class TestViewLikelihood:
             assert vec[j] == pytest.approx(
                 log_view_likelihood(view, ThetaPoint.of(p)), rel=1e-12
             )
+
+
+def full_column_view_loglik(view, pts):
+    """The aggregated view likelihood with xlogy over every visible side."""
+    if not view.visible:
+        return np.zeros(pts.shape[0])
+    sides = np.asarray(view.visible_sides) - 1
+    mv = np.asarray([c for _, c in view.visible], dtype=float)
+    rest = view.n - float(mv.sum())
+    coef = (log_factorial(view.n) - float(np.sum(log_factorial(mv.astype(np.int64))))
+            - log_factorial(int(rest)))
+    out = coef + power_product_full(mv, pts[:, sides])
+    if rest > 0:
+        out += xlogy(rest, np.maximum(1.0 - pts[:, sides].sum(axis=1), 0.0))
+    return out
+
+
+class TestPowerKernel:
+    def test_no_informative_column_skips_xlogy(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("xlogy called")
+
+        monkeypatch.setattr(multinomial, "xlogy", fail)
+        pts = nodes_with_zeros(3, 6, 20, seed=1)
+        np.testing.assert_array_equal(log_power(np.zeros(3), pts), np.zeros(pts.shape[0]))
+
+    def test_rejects_width_mismatch(self):
+        with pytest.raises(ValueError, match="expected 3"):
+            log_power(np.ones(3), np.full((2, 4), 0.25))
+
+    @pytest.mark.parametrize("k", [3, 7, 16])
+    def test_view_matches_full_column_xlogy(self, k):
+        # Zero counts drop out of the product term; with at most 7 visible
+        # sides the row sums are unchanged bit for bit.
+        rng = np.random.default_rng(k)
+        pts = nodes_with_zeros(k, 5 if k > 4 else 12, 300, seed=k)
+        counts = rng.multinomial(12, rng.dirichlet(np.ones(k)))
+        counts[rng.random(k) < 0.4] = 0
+        n = int(counts.sum()) + 3
+        half = {s: int(counts[s - 1]) for s in rng.choice(np.arange(1, k + 1), k // 2,
+                                                          replace=False)}
+        views = [
+            AgentView.empty(k, n),
+            AgentView.from_mapping(k, n, half),
+            AgentView.from_mapping(k, n, {s: 0 for s in half}),
+            AgentView.full(CountVector.of(counts)),
+            AgentView.full(CountVector.of([0] * k)),
+        ]
+        for view in views:
+            with np.errstate(divide="ignore"):
+                got = view_log_likelihood_nodes(view, pts)
+                ref = full_column_view_loglik(view, pts)
+            if len(view.visible) <= 7:
+                np.testing.assert_array_equal(got, ref)
+            else:
+                mv = np.asarray([c for _, c in view.visible], dtype=float)
+                sides = np.asarray(view.visible_sides) - 1
+                assert_row_sums_close(got, ref, xlogy(mv, pts[:, sides]))
 
 
 class TestSimulateRolls:
