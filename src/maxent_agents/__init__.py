@@ -7,38 +7,21 @@ likelihood of what it saw, exponentially tilted so the constraint holds.
 """
 from .engine import (
     ConstraintSpec,
-    ConvergenceError,
     EntropyReport,
     GridEngine,
     InfeasibleConstraintError,
     McEngine,
-    PosteriorModel,
-    PosteriorSummary,
     PriorSpec,
     SolvedConstraint,
     default_engine,
-    expected_f,
-    log_zeta,
     me_entropy,
     posterior,
-    posterior_no_constraint,
     posterior_summary,
     solve_beta,
 )
 from .fileio import EngineSettings, ExperimentConfig
-from .multinomial import (
-    IMPOSSIBLE_LOG_PROB,
-    AgentView,
-    CountVector,
-    log_factorial,
-    log_multinomial,
-    log_view_likelihood,
-    simulate_rolls,
-)
+from .multinomial import AgentView, CountVector, log_factorial, simulate_rolls
 from .network import (
-    AgentNetwork,
-    BeliefEntry,
-    BeliefTable,
     belief_divergence,
     build_network,
     complete_network,
@@ -47,37 +30,20 @@ from .network import (
     triangle_lattice_network,
     views_at_round,
 )
-from .simplex import (
-    McEstimate,
-    NodeBudgetError,
-    SimplexGrid,
-    ThetaPoint,
-    build_grid,
-    expect_grid,
-    expect_mc,
-)
+from .simplex import NodeBudgetError, ThetaPoint, build_grid
 
 __all__ = [
-    "AgentNetwork",
     "AgentView",
-    "BeliefEntry",
-    "BeliefTable",
     "ConstraintSpec",
-    "ConvergenceError",
     "CountVector",
     "EngineSettings",
     "EntropyReport",
     "ExperimentConfig",
     "GridEngine",
-    "IMPOSSIBLE_LOG_PROB",
     "InfeasibleConstraintError",
     "McEngine",
-    "McEstimate",
     "NodeBudgetError",
-    "PosteriorModel",
-    "PosteriorSummary",
     "PriorSpec",
-    "SimplexGrid",
     "SolvedConstraint",
     "ThetaPoint",
     "belief_divergence",
@@ -85,18 +51,11 @@ __all__ = [
     "build_network",
     "complete_network",
     "default_engine",
-    "expect_grid",
-    "expect_mc",
-    "expected_f",
     "explicit_network",
     "infer_all",
     "log_factorial",
-    "log_multinomial",
-    "log_view_likelihood",
-    "log_zeta",
     "me_entropy",
     "posterior",
-    "posterior_no_constraint",
     "posterior_summary",
     "simulate_rolls",
     "solve_beta",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Any
@@ -101,8 +102,6 @@ def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
         updates["seed"] = args.seed
     if args.grid is not None or args.mc_samples is not None:
-        if args.grid is not None and args.mc_samples is not None:
-            raise ValueError("--grid and --mc-samples are mutually exclusive")
         updates["engine"] = EngineSettings(
             grid=args.grid, mc_samples=args.mc_samples,
             mc_seed=config.engine.mc_seed,
@@ -170,7 +169,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     engine = config.build_engine()
     t0 = time.perf_counter()
     solved = solve_beta(prior, view, constraint, engine)
-    model = posterior(prior, view, solved, engine)
+    model = posterior(solved)
     summary = posterior_summary(model)
     entropy = me_entropy(model)
     elapsed = time.perf_counter() - t0
@@ -253,6 +252,10 @@ def cmd_sweep_beta(args: argparse.Namespace) -> int:
     prior = PriorSpec.of(config.prior)
     constraint = config.constraint or ConstraintSpec.none(config.k)
     engine = config.build_engine()
+    for flag, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max),
+                        ("--beta-step", args.beta_step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     if args.beta_step <= 0:
         raise ValueError("beta step must be > 0")
     if args.beta_max < args.beta_min:

@@ -17,7 +17,8 @@ so every posterior integrates to exactly 1 under the engine that built it
 and tilt expectations are ratios of sums sharing one set of nodes.  All
 densities are handled in log space; the beta-independent part of the
 log-integrand is computed once per (prior, view, engine), reused across
-every beta the solver visits, and handed on to the posterior it fitted.
+every beta the solver visits, and kept on the fitted SolvedConstraint, which
+is the only input `posterior` takes.
 
 With no data the result is the exponentially tilted prior (pure moment
 matching); with beta = 0 it is the conjugate Dirichlet update.  The
@@ -38,13 +39,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .multinomial import AgentView, log_power, view_log_likelihood_nodes
-from .simplex import (
-    DEFAULT_NODE_BUDGET,
-    SimplexGrid,
-    ThetaPoint,
-    build_grid,
-    sample_dirichlet,
-)
+from .simplex import DEFAULT_NODE_BUDGET, SimplexGrid, build_grid, sample_dirichlet
 
 DEFAULT_SOLVER_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
@@ -137,9 +132,9 @@ class ConstraintSpec:
 
 @dataclass(frozen=True)
 class SolvedConstraint:
-    """A fitted multiplier: beta, the log normalizer, and the residual.
-
-    `solve_beta` also keeps the tilted family it fitted on, for `posterior`.
+    """A fitted multiplier: beta, the log normalizer, and the residual,
+    with the tilted family it was fitted on (prior, view, constraint and
+    engine), from which `posterior` builds the model.
     """
 
     spec: ConstraintSpec
@@ -147,9 +142,8 @@ class SolvedConstraint:
     log_zeta: float
     residual: float
     tol: float
-    provenance: tuple
+    family: _TiltedFamily = field(repr=False, compare=False)
     iterations: int = 0
-    _family: _TiltedFamily | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.residual <= self.tol:
@@ -247,15 +241,6 @@ def default_engine(k: int):
     return McEngine(k)
 
 
-def _provenance(prior: PriorSpec, view: AgentView, spec: ConstraintSpec, engine) -> tuple:
-    return (
-        prior.dirichlet_params,
-        (view.k, view.n, view.visible),
-        (spec.f, spec.F),
-        tuple(sorted(engine.descriptor().items())),
-    )
-
-
 class _TiltedFamily:
     """Cached beta-independent node data for one (prior, view, constraint, engine).
 
@@ -304,35 +289,22 @@ class _TiltedFamily:
         dev = self.f - mean
         return mean, float(w @ (dev * dev))
 
-    def log_density(self, beta: float, log_zeta: float, theta: np.ndarray) -> np.ndarray:
-        """log posterior density (relative to the flat reference) at arbitrary points."""
-        pts = np.atleast_2d(theta)
-        out = (
-            self.prior.log_rel_density(pts)
-            + view_log_likelihood_nodes(self.view, pts)
-            + self.spec.f_values(pts) * beta
+    def log_density(self, beta: float, log_zeta: float, points: np.ndarray) -> np.ndarray:
+        """log posterior density (relative to the flat reference) at an (N, k) array of points."""
+        return (
+            self.prior.log_rel_density(points)
+            + view_log_likelihood_nodes(self.view, points)
+            + self.spec.f_values(points) * beta
             - log_zeta
         )
-        return out if np.asarray(theta).ndim == 2 else out[0]
-
-
-def log_zeta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
-             beta: float, engine) -> float:
-    """log of the engine expectation of prior_rel * view_likelihood * e^{beta f}."""
-    return _TiltedFamily(prior, view, constraint, engine).log_zeta(beta)
-
-
-def expected_f(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
-               beta: float, engine) -> float:
-    """<f(theta)> under the beta-tilted posterior, as a ratio of shared-node sums."""
-    return _TiltedFamily(prior, view, constraint, engine).expected_f(beta)
 
 
 def tilt_table(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
                betas: Sequence[float], engine) -> list[tuple[float, float]]:
     """(log_zeta, <f>) at each beta, all from one build of the node data.
 
-    Each pair equals `log_zeta(...)` and `expected_f(...)` at that beta.
+    log_zeta is the log of the engine expectation of
+    prior_rel * view_likelihood * e^{beta f}; <f> is the beta-tilted mean.
     """
     fam = _TiltedFamily(prior, view, constraint, engine)
     return [(fam.log_zeta(beta), fam.expected_f(beta)) for beta in betas]
@@ -358,7 +330,8 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec, en
     over the nodes is an EngineRangeError, raised after the beta = 0 check
     and before any step.  `iterations` counts the
     tilted-family evaluations after the beta = 0 check.  The fitted family
-    is kept on the result, so `posterior` does not build it again.
+    is kept on the result, so `posterior(solved)` needs no other input and
+    does not build it again.
     """
     lo_f, hi_f = constraint.attainable_interval()
     if constraint.is_constant:
@@ -372,7 +345,6 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec, en
             f"({lo_f}, {hi_f})"
         )
     fam = _TiltedFamily(prior, view, constraint, engine)
-    prov = _provenance(prior, view, constraint, engine)
     F = constraint.F
 
     # Newton works on the logit of <f> within (a, b), the range of f over the
@@ -433,7 +405,7 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec, en
         iters += 1
     return SolvedConstraint(
         spec=constraint, beta=beta, log_zeta=fam.log_zeta(beta),
-        residual=resid, tol=tol, provenance=prov, iterations=iters, _family=fam,
+        residual=resid, tol=tol, family=fam, iterations=iters,
     )
 
 
@@ -441,11 +413,11 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec, en
 class PosteriorModel:
     """Normalized posterior density over theta (relative to the flat reference)."""
 
-    prior: PriorSpec
-    view: AgentView
     solved: SolvedConstraint
-    engine: object
-    _family: _TiltedFamily = field(repr=False)
+
+    @property
+    def family(self) -> _TiltedFamily:
+        return self.solved.family
 
     @property
     def beta(self) -> float:
@@ -455,42 +427,18 @@ class PosteriorModel:
     def log_norm(self) -> float:
         return self.solved.log_zeta
 
-    def log_density(self, theta) -> float:
-        t = theta.as_array() if isinstance(theta, ThetaPoint) else np.asarray(theta, dtype=float)
-        return float(self._family.log_density(self.beta, self.log_norm, t))
-
     def log_density_at(self, points: np.ndarray) -> np.ndarray:
-        return self._family.log_density(self.beta, self.log_norm, points)
-
-    def density(self, theta) -> float:
-        return float(np.exp(self.log_density(theta)))
+        return self.family.log_density(self.beta, self.log_norm, points)
 
 
-def posterior(prior: PriorSpec, view: AgentView, solved: SolvedConstraint,
-              engine) -> PosteriorModel:
+def posterior(solved: SolvedConstraint) -> PosteriorModel:
     """Build the normalized posterior for a fitted multiplier.
 
-    `solved` must have been produced by `solve_beta` for the same prior,
-    view, constraint and engine; anything else is a contract error.  The
-    model wraps the tilted family that the solve built.
+    Prior, view, constraint and engine are those of the tilted family the
+    solve fitted on; the model wraps that family.  For a posterior without
+    a moment constraint, solve `ConstraintSpec.none(k)` (beta = 0).
     """
-    prov = _provenance(prior, view, solved.spec, engine)
-    if prov != solved.provenance:
-        raise ValueError(
-            "solved constraint was produced for different inputs "
-            f"(expected {solved.provenance}, got {prov})"
-        )
-    if solved._family is None:
-        raise ValueError("solved constraint carries no tilted family; use solve_beta")
-    return PosteriorModel(prior=prior, view=view, solved=solved, engine=engine,
-                          _family=solved._family)
-
-
-def posterior_no_constraint(prior: PriorSpec, view: AgentView, engine) -> PosteriorModel:
-    """Posterior with the moment constraint omitted (beta fixed at 0)."""
-    trivial = ConstraintSpec.none(view.k)
-    solved = solve_beta(prior, view, trivial, engine)
-    return posterior(prior, view, solved, engine)
+    return PosteriorModel(solved=solved)
 
 
 @dataclass(frozen=True)
@@ -512,7 +460,7 @@ def posterior_summary(model: PosteriorModel) -> PosteriorSummary:
     of bin centers over [0, 1] (bin mass divided by bin width), suitable
     for plotting.
     """
-    fam = model._family
+    fam = model.family
     w = fam.posterior_weights(model.beta)
     means = fam.theta.T @ w
     second = (fam.theta**2).T @ w
@@ -561,7 +509,7 @@ def me_entropy(model: PosteriorModel) -> EntropyReport:
     -E[p * log(p / p_ref)] with p_ref the prior-times-likelihood density;
     disagreement beyond 1e-6 raises, since that indicates a broken solve.
     """
-    fam = model._family
+    fam = model.family
     beta, F = model.beta, model.solved.spec.F
     s_me = model.log_norm - beta * F
     log_p_over_ref = beta * fam.f - model.log_norm

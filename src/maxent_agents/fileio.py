@@ -108,9 +108,11 @@ class EngineSettings:
     mc_samples: int | None = None
     mc_seed: int = 0
 
-    def build(self, k: int):
+    def __post_init__(self) -> None:
         if self.grid is not None and self.mc_samples is not None:
             raise ValueError("choose either a grid resolution or mc_samples, not both")
+
+    def build(self, k: int):
         if self.grid is not None:
             return GridEngine(k, self.grid)
         if self.mc_samples is not None:

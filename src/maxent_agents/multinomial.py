@@ -9,8 +9,9 @@ multinomial term
     n! / (prod_{i in V} m_i! * (n - M_V)!) *
         prod_{i in V} theta_i^{m_i} * (1 - sum_{i in V} theta_i)^{n - M_V},
 
-which is what `log_view_likelihood` evaluates.  Enumeration of hidden
-completions is never used outside test oracles.
+which is what `view_log_likelihood_nodes` evaluates over an array of
+nodes.  Enumeration of hidden completions is never used outside test
+oracles.
 
 Both this likelihood and the Dirichlet prior are power products
 prod_i theta_i^{e_i}; `log_power` evaluates their log over an array of
@@ -27,8 +28,6 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .simplex import ThetaPoint, dirichlet_sampler
-
-IMPOSSIBLE_LOG_PROB = float("-inf")
 
 LOG_FACTORIAL_TABLE_MAX = 10**6
 _log_factorial_table = gammaln(np.arange(1024, dtype=float) + 1.0)
@@ -150,54 +149,6 @@ class AgentView:
         return len(self.visible) == self.k
 
 
-def _theta_array(theta, k: int) -> np.ndarray:
-    arr = theta.as_array() if isinstance(theta, ThetaPoint) else ThetaPoint.of(theta).as_array()
-    if arr.size != k:
-        raise ValueError(f"theta has {arr.size} components, expected {k}")
-    return arr
-
-
-def log_multinomial(m: CountVector, theta) -> float:
-    """log multinomial pmf of counts m at side probabilities theta.
-
-    Result is <= 0; a zero theta component with a positive count yields
-    IMPOSSIBLE_LOG_PROB (-inf) rather than a floating-point error.
-    xlogy supplies the 0*log(0) = 0 convention.
-    """
-    t = _theta_array(theta, m.k)
-    counts = m.as_array()
-    # Sorted reductions make the result exactly invariant under joint
-    # permutations of (m, theta).
-    coef = log_factorial(m.n) - float(np.sum(np.sort(log_factorial(counts))))
-    with np.errstate(divide="ignore"):
-        return float(coef + np.sum(np.sort(xlogy(counts.astype(float), t))))
-
-
-def log_view_likelihood(view: AgentView, theta) -> float:
-    """log probability of the visible counts, hidden counts summed out.
-
-    Equals the log-sum of the full multinomial pmf over all completions of
-    the hidden counts, evaluated in closed aggregated form.  An empty view
-    carries no information and returns 0 (probability 1).
-    """
-    t = _theta_array(theta, view.k)
-    if not view.visible:
-        return 0.0
-    sides = np.asarray(view.visible_sides, dtype=np.int64) - 1
-    mv = np.asarray([c for _, c in view.visible], dtype=np.int64)
-    rest_count = view.n - int(mv.sum())
-    coef = (
-        log_factorial(view.n)
-        - float(np.sum(log_factorial(mv)))
-        - log_factorial(rest_count)
-    )
-    theta_rest = max(1.0 - float(t[sides].sum()), 0.0)
-    with np.errstate(divide="ignore"):
-        val = coef + np.sum(xlogy(mv.astype(float), t[sides]))
-        val += xlogy(float(rest_count), theta_rest)
-    return float(val)
-
-
 def log_power(exponents, nodes: np.ndarray) -> np.ndarray:
     """log prod_i theta_i^{e_i} at each row of `nodes`: xlogy summed over e_i != 0.
 
@@ -215,11 +166,14 @@ def log_power(exponents, nodes: np.ndarray) -> np.ndarray:
 
 
 def view_log_likelihood_nodes(view: AgentView, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized `log_view_likelihood` over an (N, k) array of interior points.
+    """log probability of the visible counts at each row of an (N, k) array.
 
-    Zero visible counts drop out of the product term (bit for bit, with
-    fewer than 8 visible sides); the rest term still sums theta over every
-    visible side.
+    The hidden counts are summed out in the closed aggregated form of the
+    module docstring; for a full view this is the multinomial pmf, and an
+    empty view carries no information (0 everywhere).  A zero theta under
+    a positive count gives -inf.  Zero visible counts drop out of the
+    product term (bit for bit, with fewer than 8 visible sides); the rest
+    term still sums theta over every visible side.
     """
     if nodes.shape[1] != view.k:
         raise ValueError(f"nodes have {nodes.shape[1]} components, expected {view.k}")

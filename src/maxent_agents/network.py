@@ -168,9 +168,6 @@ class BeliefTable:
     entries: Mapping[int, BeliefEntry]
     errors: Mapping[int, Exception]
 
-    def agents(self) -> tuple[int, ...]:
-        return tuple(sorted(self.entries))
-
 
 def infer_all(net: AgentNetwork, counts: CountVector, round: int, prior: PriorSpec,
               constraint: ConstraintSpec, engine) -> BeliefTable:
@@ -190,7 +187,7 @@ def infer_all(net: AgentNetwork, counts: CountVector, round: int, prior: PriorSp
         if view not in fits:
             try:
                 solved = solve_beta(prior, view, constraint, engine)
-                model = posterior(prior, view, solved, engine)
+                model = posterior(solved)
                 summary = posterior_summary(model)
                 fits[view] = BeliefEntry(view=view, model=model, summary=summary)
             except Exception as exc:  # noqa: BLE001 - per-agent isolation is the contract
@@ -225,7 +222,7 @@ def belief_divergence(table: BeliefTable, a: int, b: int) -> float:
         return 0.0
 
     def one_sided(p: PosteriorModel, q: PosteriorModel) -> float:
-        fam = p._family
+        fam = p.family
         w = fam.posterior_weights(p.beta)
         log_p = fam.log_density(p.beta, p.log_norm, fam.theta)
         log_q = q.log_density_at(fam.theta)

@@ -1,9 +1,11 @@
-"""Deterministic quadrature and Monte-Carlo expectations on the probability simplex.
+"""Quadrature nodes and seeded Dirichlet draws on the probability simplex.
 
 All expectations are taken with respect to the *normalized* uniform measure
 on the (k-1)-simplex, i.e. the flat Dirichlet(1,...,1) distribution.  With
 that convention the expectation of the constant 1 is exactly 1 and no
-simplex-volume bookkeeping is needed anywhere downstream.
+simplex-volume bookkeeping is needed anywhere downstream.  The grid rule
+below supplies the nodes of the lattice engine; `sample_dirichlet` supplies
+the draws of the Monte-Carlo engine and the die-roll simulator.
 
 The grid rule places one node per composition (c_1,...,c_k) of the
 resolution r into k non-negative parts,
@@ -20,14 +22,13 @@ contain log theta_i), the layout is exactly symmetric under coordinate
 permutations, and weight normalization is exact by construction.
 
 Everything here is a pure function of its inputs and every returned value
-is immutable after construction, so grids and estimates are safe to share
-across threads; reductions run in a fixed order, so results are bit-stable
-no matter how callers schedule the work.
+is immutable after construction, so grids and draws are safe to share
+across threads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import comb
@@ -98,16 +99,13 @@ def lattice_scale(k: int, r: int) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class SimplexGrid:
-    """Equal-weight quadrature rule over the simplex.
-
-    nodes: (node_count, k) array of interior simplex points.
-    weights: (node_count,) array, all equal, summing to 1.
+    """Equal-weight quadrature rule over the simplex: each of the
+    (node_count, k) interior `nodes` carries weight 1 / node_count.
     """
 
     k: int
     resolution: int
     nodes: np.ndarray
-    weights: np.ndarray
 
     @property
     def node_count(self) -> int:
@@ -126,8 +124,8 @@ def build_grid(k: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Simple
     Raises
     ------
     NodeBudgetError
-        if C(r+k-1, k-1) exceeds `node_budget`; use the Monte-Carlo backend
-        (`expect_mc` / an MC engine) for such dimensions.
+        if C(r+k-1, k-1) exceeds `node_budget`; use the Monte-Carlo engine
+        (`McEngine`) for such dimensions.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -142,46 +140,7 @@ def build_grid(k: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Simple
     counts = compositions(r, k)
     D, s = lattice_scale(k, r)
     nodes = (counts + s) / D
-    weights = np.full(n_nodes, 1.0 / n_nodes)
-    return SimplexGrid(k=k, resolution=r, nodes=nodes, weights=weights)
-
-
-def expect_grid(g: Callable[[np.ndarray], float], grid: SimplexGrid) -> float:
-    """Weighted sum of g over the grid nodes: sum_j w_j g(node_j).
-
-    g receives each node as a length-k ndarray and must return a finite
-    float.  The reduction sums the weighted values in ascending order, so
-    the result is bit-stable and exactly symmetric under coordinate
-    permutations of g.
-    """
-    vals = np.fromiter(
-        (float(g(node)) for node in grid.nodes), dtype=float, count=grid.node_count
-    )
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        j = int(bad[0])
-        raise ValueError(
-            f"integrand is not finite at node {j}: theta={tuple(grid.nodes[j])}, "
-            f"value={vals[j]!r}"
-        )
-    # Equal weights: (sum of values)/N keeps the constant integrand exact.
-    if np.all(grid.weights == grid.weights[0]):
-        return float(np.sum(np.sort(vals)) / grid.node_count)
-    return float(np.sum(np.sort(grid.weights * vals)))
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Monte-Carlo estimate with its standard error and provenance."""
-
-    value: float
-    std_error: float
-    samples: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.std_error < 0.0:
-            raise ValueError("std_error must be >= 0")
+    return SimplexGrid(k=k, resolution=r, nodes=nodes)
 
 
 def dirichlet_sampler(seed: int, stream: int = 0) -> np.random.Generator:
@@ -206,27 +165,3 @@ def sample_dirichlet(
     rng = dirichlet_sampler(seed, stream)
     gam = rng.standard_gamma(alpha, size=(samples, alpha.size))
     return gam / gam.sum(axis=1, keepdims=True)
-
-
-def expect_mc(
-    g: Callable[[np.ndarray], float],
-    dirichlet_params: Sequence[float],
-    samples: int,
-    seed: int,
-) -> McEstimate:
-    """Plain Monte-Carlo estimate of E[g(theta)] under Dirichlet(dirichlet_params).
-
-    Unbiased; std_error is the sample standard deviation divided by
-    sqrt(samples).  Identical (inputs, seed) give bit-identical results.
-    """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    theta = sample_dirichlet(dirichlet_params, samples, seed)
-    vals = np.fromiter((float(g(t)) for t in theta), dtype=float, count=samples)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        j = int(bad[0])
-        raise ValueError(f"integrand is not finite at draw {j}: value={vals[j]!r}")
-    value = float(np.mean(vals))
-    std_error = float(np.std(vals, ddof=1) / np.sqrt(samples))
-    return McEstimate(value=value, std_error=std_error, samples=samples, seed=seed)

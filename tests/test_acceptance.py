@@ -18,19 +18,18 @@ from maxent_agents import (
     PriorSpec,
     belief_divergence,
     complete_network,
-    expected_f,
     infer_all,
-    log_view_likelihood,
     me_entropy,
     posterior,
-    posterior_no_constraint,
     posterior_summary,
     solve_beta,
     triangle_lattice_network,
     views_at_round,
 )
 from maxent_agents.cli import main
+from maxent_agents.engine import _TiltedFamily
 from maxent_agents.fileio import write_payload
+from maxent_agents.multinomial import view_log_likelihood_nodes
 
 from oracles import (
     compositions,
@@ -80,7 +79,7 @@ def test_criterion_1_bayes_reduction(eng960):
                     break
             prior = PriorSpec.of(alpha)
             view = AgentView.full(CountVector.of(m))
-            model = posterior_no_constraint(prior, view, eng960)
+            model = posterior(solve_beta(prior, view, ConstraintSpec.none(3), eng960))
             closed = dirichlet_log_rel(alpha + m, nodes)
             rel = np.abs(np.expm1(model.log_density_at(nodes) - closed))
             assert rel.max() <= 1e-8, (case, alpha, m, rel.max())
@@ -92,7 +91,7 @@ def test_criterion_2_maxent_reduction(eng960):
         view = AgentView.empty(3, 0)
         solved = solve_beta(FLAT3, view, BIAS, eng960)
         assert solved.residual <= 1e-8
-        model = posterior(FLAT3, view, solved, eng960)
+        model = posterior(solved)
         check = posterior_summary(model)
         assert abs(check.expected_f - 0.0) <= 1e-8
         beta_o, nodes_o, log_norm_o = tilted_flat_posterior(960, [1.0, 0.0, -2.0], 0.0)
@@ -117,7 +116,7 @@ def test_criterion_3_simultaneous_constraint_satisfaction(eng240):
             view = AgentView.full(counts)
             solved = solve_beta(FLAT3, view, spec, eng240)
             assert solved.residual <= 1e-8
-            recomputed = expected_f(FLAT3, view, spec, solved.beta, eng240)
+            recomputed = _TiltedFamily(FLAT3, view, spec, eng240).expected_f(solved.beta)
             assert abs(recomputed - F) <= 1e-8, (case, f, F)
 
 
@@ -139,9 +138,9 @@ def test_criterion_4_marginalization_identity():
                         if sum(m_v) > n or (not hidden and sum(m_v) < n):
                             continue
                         visible = dict(zip(subset, m_v))
-                        ours = log_view_likelihood(
-                            AgentView.from_mapping(k, n, visible), theta
-                        )
+                        ours = view_log_likelihood_nodes(
+                            AgentView.from_mapping(k, n, visible), np.array([theta])
+                        )[0]
                         brute = view_loglik_brute(k, n, visible, theta)
                         tol = 1e-12 * max(1.0, abs(ours), abs(brute))
                         assert abs(ours - brute) <= tol, (k, n, visible)
@@ -154,7 +153,7 @@ def test_criterion_5_student_scenario_end_to_end(eng240):
         for m1 in range(11):
             view = AgentView.from_mapping(3, 10, {1: m1})
             solved = solve_beta(FLAT3, view, BIAS, eng240)
-            model = posterior(FLAT3, view, solved, eng240)
+            model = posterior(solved)
             form = (
                 solved.beta * (3.0 * nodes[:, 0] + 2.0 * nodes[:, 1] - 2.0)
                 + m1 * np.log(nodes[:, 0])
@@ -202,7 +201,7 @@ def test_criterion_7_lattice_views_bit_for_bit():
         for agent in interior:
             view = views[agent]
             solved = solve_beta(prior, view, spec, engine)
-            direct = posterior_summary(posterior(prior, view, solved, engine))
+            direct = posterior_summary(posterior(solved))
             entry = table.entries[agent]
             assert entry.model.solved.beta == solved.beta
             assert entry.model.solved.log_zeta == solved.log_zeta
@@ -226,7 +225,7 @@ def test_criterion_8_entropy_identity(eng240):
             view = AgentView.full(counts)
             spec = ConstraintSpec.of(f, F)
             solved = solve_beta(prior, view, spec, eng240)
-            model = posterior(prior, view, solved, eng240)
+            model = posterior(solved)
             rep = me_entropy(model)
             assert rep.s_me <= 0.0
             direct = entropy_functional(
@@ -249,8 +248,8 @@ def test_criterion_9_monotonicity_and_unique_root(eng240):
             f = rng.uniform(-2.0, 2.0, 3)
             while len(set(np.round(f, 6))) == 1:
                 f = rng.uniform(-2.0, 2.0, 3)
-            spec = ConstraintSpec.of(f, 0.0)
-            vals = [expected_f(FLAT3, view, spec, b, eng240) for b in ladder]
+            fam = _TiltedFamily(FLAT3, view, ConstraintSpec.of(f, 0.0), eng240)
+            vals = [fam.expected_f(b) for b in ladder]
             assert all(a < b for a, b in zip(vals, vals[1:]))
             F = f.min() + rng.uniform(0.2, 0.8) * (f.max() - f.min())
             solved = solve_beta(FLAT3, view, ConstraintSpec.of(f, F), eng240)

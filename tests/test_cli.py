@@ -14,11 +14,10 @@ from maxent_agents import (
     ExperimentConfig,
     GridEngine,
     PriorSpec,
-    expected_f,
-    log_zeta,
 )
 from maxent_agents import cli
 from maxent_agents.cli import main
+from maxent_agents.engine import _TiltedFamily
 from maxent_agents.fileio import (
     dumps_canonical,
     load_config,
@@ -241,10 +240,9 @@ class TestInfer:
         echoed = ExperimentConfig.from_payload(record["config"])
         agent = record["agents"][0]
         view = view_from_payload(agent["view"])
-        value = expected_f(
-            PriorSpec.of(echoed.prior), view, echoed.constraint,
-            agent["beta"], echoed.build_engine(),
-        )
+        value = _TiltedFamily(
+            PriorSpec.of(echoed.prior), view, echoed.constraint, echoed.build_engine(),
+        ).expected_f(agent["beta"])
         assert abs(value - echoed.constraint.F) == pytest.approx(
             agent["residual"], abs=1e-15
         )
@@ -264,6 +262,19 @@ class TestInfer:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--view" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "network"])
+    def test_grid_and_mc_samples_exit_code(self, tmp_path, capsys, command):
+        config = write_config(tmp_path / "c.json")
+        counts = tmp_path / "counts.json"
+        write_payload(counts, {"k": 3, "n": 10, "counts": [5, 3, 2], "seed": 7})
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "x"),
+                "--grid", "30", "--mc-samples", "1000"]
+        if command == "network":
+            argv += ["--counts", str(counts)]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x").exists()
 
 
 class TestNetworkCmd:
@@ -378,15 +389,15 @@ class TestSweepBeta:
                      "--beta-min", "-2", "--beta-max", "2", "--beta-step", "0.25"]) == 0
         assert len(calls) == 1
         monkeypatch.undo()
-        # Every row matches the one-beta functions exactly.
+        # Every row matches a freshly built family exactly.
         prior, spec = PriorSpec.flat(3), ConstraintSpec.of([1.0, 0.0, -2.0], 0.0)
         view, engine = AgentView.from_mapping(3, 10, {1: 5, 3: 2}), GridEngine(3, 60)
         lines = out.read_text().strip().splitlines()[1:]
         assert len(lines) == 17
         for line in lines:
             beta, lz, ef, _ = (float(v) for v in line.split(","))
-            assert lz == log_zeta(prior, view, spec, beta, engine)
-            assert ef == expected_f(prior, view, spec, beta, engine)
+            assert lz == _TiltedFamily(prior, view, spec, engine).log_zeta(beta)
+            assert ef == _TiltedFamily(prior, view, spec, engine).expected_f(beta)
 
     def test_bad_range(self, tmp_path):
         config = write_config(tmp_path / "c.json")
@@ -395,3 +406,17 @@ class TestSweepBeta:
         assert main(["sweep-beta", "--config", str(config), "--counts", str(counts),
                      "--out", str(tmp_path / "s.csv"), "--beta-min", "1",
                      "--beta-max", "0", "--beta-step", "0.5"]) == 4
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta-min", "-inf"), ("--beta-max", "inf"), ("--beta-step", "inf"),
+    ])
+    def test_non_finite_range_exit_code(self, tmp_path, capsys, flag, value):
+        config = write_config(tmp_path / "c.json", engine={"grid": 30})
+        counts = tmp_path / "counts.json"
+        write_payload(counts, {"k": 3, "n": 10, "counts": [5, 3, 2], "seed": 7})
+        bounds = {"--beta-min": "0", "--beta-max": "1", "--beta-step": "0.5", flag: value}
+        argv = ["sweep-beta", "--config", str(config), "--counts", str(counts),
+                "--out", str(tmp_path / "s.csv")] + [f"{k}={v}" for k, v in bounds.items()]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)!r}\n"
+        assert not (tmp_path / "s.csv").exists()

@@ -18,11 +18,8 @@ from maxent_agents import (
     PriorSpec,
     SolvedConstraint,
     default_engine,
-    expected_f,
-    log_zeta,
     me_entropy,
     posterior,
-    posterior_no_constraint,
     posterior_summary,
     solve_beta,
 )
@@ -47,6 +44,19 @@ BETA_STAR_960 = 0.97052485835811242
 LOG_ZETA_HALF_960 = -4.1775656338506488
 
 
+def log_zeta(prior, view, spec, beta, engine):
+    return _TiltedFamily(prior, view, spec, engine).log_zeta(beta)
+
+
+def expected_f(prior, view, spec, beta, engine):
+    return _TiltedFamily(prior, view, spec, engine).expected_f(beta)
+
+
+def bayes_posterior(prior, view, engine):
+    """The posterior without a moment constraint (beta = 0)."""
+    return posterior(solve_beta(prior, view, ConstraintSpec.none(view.k), engine))
+
+
 @pytest.fixture(scope="module")
 def eng240():
     return GridEngine(3, 240)
@@ -69,11 +79,13 @@ class TestSpecs:
         assert ConstraintSpec.none(3).is_constant
 
     def test_solved_constraint_rejects_large_residual(self):
+        fam = _TiltedFamily(FLAT3, AgentView.empty(3, 0), BIAS, GridEngine(3, 10))
         with pytest.raises(ValueError, match="residual"):
             SolvedConstraint(
-                spec=BIAS, beta=0.0, log_zeta=0.0, residual=1e-3, tol=1e-9,
-                provenance=(),
+                spec=BIAS, beta=0.0, log_zeta=0.0, residual=1e-3, tol=1e-9, family=fam,
             )
+        with pytest.raises(TypeError, match="family"):
+            SolvedConstraint(spec=BIAS, beta=0.0, log_zeta=0.0, residual=0.0, tol=1e-9)
 
 
 class TestPriorDensity:
@@ -227,7 +239,7 @@ class TestNewtonSolve:
                     view = AgentView.from_mapping(3, 10, {s: counts.counts[s - 1] for s in sides})
                     for F in (lo + 1e-3, lo + 0.1, -1.0, 0.0, hi - 0.1, hi - 1e-3):
                         solved = solve_beta(FLAT3, view, ConstraintSpec.of(BIAS.f, F), eng240)
-                        fam = solved._family
+                        fam = solved.family
                         ref = brentq(lambda b: fam.expected_f(b) - F, -BETA_CAP, BETA_CAP,
                                      xtol=1e-13, rtol=1e-15)
                         # The stop rule pins <f> to tol, which pins beta to tol / Var f.
@@ -246,19 +258,9 @@ class TestNewtonSolve:
         monkeypatch.setattr(GridEngine, "basis", counting_basis)
         view = AgentView.full(CountVector.of([5, 3, 2]))
         solved = solve_beta(FLAT3, view, BIAS, eng240)
-        model = posterior(FLAT3, view, solved, eng240)
+        model = posterior(solved)
         assert calls == [view]
         assert posterior_summary(model).expected_f == pytest.approx(0.0, abs=1e-9)
-
-    def test_posterior_rejects_solution_without_family(self, eng240):
-        view = AgentView.empty(3, 0)
-        solved = solve_beta(FLAT3, view, BIAS, eng240)
-        bare = SolvedConstraint(
-            spec=solved.spec, beta=solved.beta, log_zeta=solved.log_zeta,
-            residual=solved.residual, tol=solved.tol, provenance=solved.provenance,
-        )
-        with pytest.raises(ValueError, match="no tilted family"):
-            posterior(FLAT3, view, bare, eng240)
 
 
 class TestPosterior:
@@ -271,7 +273,7 @@ class TestPosterior:
             m = rng.multinomial(n, rng.dirichlet(np.ones(3) * 3))
             while (alpha + m).min() < 6:
                 m = rng.multinomial(n, rng.dirichlet(np.ones(3) * 3))
-            model = posterior_no_constraint(
+            model = bayes_posterior(
                 PriorSpec.of(alpha), AgentView.full(CountVector.of(m)), eng240
             )
             nodes = eng240.grid.nodes
@@ -280,7 +282,7 @@ class TestPosterior:
             assert np.abs(np.expm1(ours - closed)).max() <= 1e-8
 
     def test_full_view_means_and_variance(self, eng240):
-        model = posterior_no_constraint(
+        model = bayes_posterior(
             FLAT3, AgentView.full(CountVector.of([5, 3, 2])), eng240
         )
         summary = posterior_summary(model)
@@ -289,7 +291,7 @@ class TestPosterior:
         assert summary.normalization == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_view_beta0_is_prior_flat(self, eng240):
-        model = posterior_no_constraint(FLAT3, AgentView.empty(3, 0), eng240)
+        model = bayes_posterior(FLAT3, AgentView.empty(3, 0), eng240)
         pts = np.random.default_rng(0).dirichlet(np.ones(3), size=50)
         assert np.abs(model.log_density_at(pts)).max() <= 1e-12
 
@@ -297,7 +299,7 @@ class TestPosterior:
         # Self-normalization reproduces the prior up to the grid's estimate
         # of its own mass; negligible once every exponent is >= 2.
         prior = PriorSpec.of([4.0, 3.0, 5.0])
-        model = posterior_no_constraint(prior, AgentView.empty(3, 0), eng240)
+        model = bayes_posterior(prior, AgentView.empty(3, 0), eng240)
         pts = np.random.default_rng(0).dirichlet(np.ones(3), size=50)
         assert np.abs(
             model.log_density_at(pts) - prior.log_rel_density(pts)
@@ -307,7 +309,7 @@ class TestPosterior:
         # No data: the posterior is the tilted prior.  Compare against the
         # independent lattice solve at the same resolution.
         solved = solve_beta(FLAT3, AgentView.empty(3, 0), BIAS, eng240)
-        model = posterior(FLAT3, AgentView.empty(3, 0), solved, eng240)
+        model = posterior(solved)
         beta_o, nodes_o, log_norm_o = tilted_flat_posterior(240, [1.0, 0.0, -2.0], 0.0)
         fvals = nodes_o @ np.array([1.0, 0.0, -2.0])
         oracle_logdens = beta_o * fvals - log_norm_o
@@ -321,7 +323,7 @@ class TestPosterior:
         n, m1 = 10, 7
         view = AgentView.from_mapping(3, n, {1: m1})
         solved = solve_beta(FLAT3, view, BIAS, eng240)
-        model = posterior(FLAT3, view, solved, eng240)
+        model = posterior(solved)
         nodes = eng240.grid.nodes
         form = (
             solved.beta * (3 * nodes[:, 0] + 2 * nodes[:, 1] - 2)
@@ -331,14 +333,6 @@ class TestPosterior:
         direct = form - (np.max(form) + np.log(np.mean(np.exp(form - np.max(form)))))
         ours = model.log_density_at(nodes)
         assert np.abs(np.expm1(ours - direct)).max() <= 1e-8
-
-    def test_provenance_mismatch_rejected(self, eng240, eng960):
-        view = AgentView.empty(3, 0)
-        solved = solve_beta(FLAT3, view, BIAS, eng240)
-        with pytest.raises(ValueError, match="different inputs"):
-            posterior(FLAT3, view, solved, eng960)
-        with pytest.raises(ValueError, match="different inputs"):
-            posterior(PriorSpec.of([2.0, 1.0, 1.0]), view, solved, eng240)
 
 
 class TestSequentialVsSimultaneous:
@@ -352,8 +346,8 @@ class TestSequentialVsSimultaneous:
         assert pre.beta == 0.0  # MaxEnt stage of the sequential route
         sim = solve_beta(FLAT3, view, spec, eng240)
         assert sim.beta == 0.0  # simultaneous route
-        bayes = posterior_no_constraint(FLAT3, view, eng240)
-        joint = posterior(FLAT3, view, sim, eng240)
+        bayes = bayes_posterior(FLAT3, view, eng240)
+        joint = posterior(sim)
         nodes = eng240.grid.nodes
         assert np.array_equal(joint.log_density_at(nodes), bayes.log_density_at(nodes))
 
@@ -368,12 +362,12 @@ class TestSequentialVsSimultaneous:
 
 class TestEntropy:
     def test_no_update_entropy_zero(self, eng240):
-        model = posterior_no_constraint(FLAT3, AgentView.empty(3, 0), eng240)
+        model = bayes_posterior(FLAT3, AgentView.empty(3, 0), eng240)
         report = me_entropy(model)
         assert report.s_me == 0.0
 
     def test_full_view_beta0(self, eng240):
-        model = posterior_no_constraint(
+        model = bayes_posterior(
             FLAT3, AgentView.full(CountVector.of([5, 3, 2])), eng240
         )
         report = me_entropy(model)
@@ -383,7 +377,7 @@ class TestEntropy:
     def test_tilted_case_matches_direct_functional(self, eng240):
         view = AgentView.empty(3, 0)
         solved = solve_beta(FLAT3, view, BIAS, eng240)
-        model = posterior(FLAT3, view, solved, eng240)
+        model = posterior(solved)
         report = me_entropy(model)
         assert report.s_me < 0.0
         direct = entropy_functional(model, (1.0, 1.0, 1.0), 3, 0, {}, eng240.grid.nodes)
@@ -410,7 +404,7 @@ class TestMcEngineEndToEnd:
         engine = McEngine(k, samples=50_000, seed=123)
         solved = solve_beta(prior, view, spec, engine)
         assert solved.residual <= 1e-9
-        model = posterior(prior, view, solved, engine)
+        model = posterior(solved)
         summary = posterior_summary(model)
         assert summary.normalization == pytest.approx(1.0, abs=1e-9)
         assert summary.expected_f == pytest.approx(0.0, abs=1e-8)
@@ -421,7 +415,7 @@ class TestMcEngineEndToEnd:
         k = 5
         counts = CountVector.of([6, 1, 3, 0, 2])
         engine = McEngine(k, samples=100_000, seed=9)
-        model = posterior_no_constraint(PriorSpec.flat(k), AgentView.full(counts), engine)
+        model = bayes_posterior(PriorSpec.flat(k), AgentView.full(counts), engine)
         summary = posterior_summary(model)
         exact = (np.array(counts.counts) + 1.0) / (counts.n + k)
         assert np.abs(np.array(summary.means) - exact).max() <= 0.01
@@ -431,12 +425,6 @@ class TestMcEngineEndToEnd:
         prior = PriorSpec.flat(k)
         view = AgentView.from_mapping(k, 8, {2: 5})
         spec = ConstraintSpec.of([1, 0, 0, 0, -1], -0.05)
-        one = posterior_summary(
-            posterior(prior, view, solve_beta(prior, view, spec, McEngine(k, 20_000, 5)),
-                      McEngine(k, 20_000, 5))
-        )
-        two = posterior_summary(
-            posterior(prior, view, solve_beta(prior, view, spec, McEngine(k, 20_000, 5)),
-                      McEngine(k, 20_000, 5))
-        )
+        one = posterior_summary(posterior(solve_beta(prior, view, spec, McEngine(k, 20_000, 5))))
+        two = posterior_summary(posterior(solve_beta(prior, view, spec, McEngine(k, 20_000, 5))))
         assert one == two

@@ -159,7 +159,7 @@ class TestInferAll:
         counts = CountVector.of([4, 3, 3])
         table = infer_all(net, counts, 2, FLAT3, BIAS, eng240)
         solved = solve_beta(FLAT3, AgentView.full(counts), BIAS, eng240)
-        direct = posterior_summary(posterior(FLAT3, AgentView.full(counts), solved, eng240))
+        direct = posterior_summary(posterior(solved))
         for agent in (1, 2, 3):
             assert table.entries[agent].summary == direct
 
