@@ -13,7 +13,6 @@ from .engine import (
     McEngine,
     PriorSpec,
     SolvedConstraint,
-    default_engine,
     me_entropy,
     posterior,
     posterior_summary,
@@ -23,7 +22,6 @@ from .fileio import EngineSettings, ExperimentConfig
 from .multinomial import AgentView, CountVector, log_factorial, simulate_rolls
 from .network import (
     belief_divergence,
-    build_network,
     complete_network,
     explicit_network,
     infer_all,
@@ -48,9 +46,7 @@ __all__ = [
     "ThetaPoint",
     "belief_divergence",
     "build_grid",
-    "build_network",
     "complete_network",
-    "default_engine",
     "explicit_network",
     "infer_all",
     "log_factorial",

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from typing import Any
 
 from .engine import (
@@ -49,6 +50,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_NONCONVERGED = 3
 EXIT_INPUT = 4
+MAX_SWEEP_ROWS = 1_000_000
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -110,10 +112,19 @@ def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:
         updates["constraint"] = parse_constraint_shorthand(args.constraint)
     if getattr(args, "round", None) is not None:
         updates["round"] = args.round
-    if updates:
-        payload = {**config.__dict__, **updates}
-        config = ExperimentConfig(**payload)
-    return config
+    return replace(config, **updates)
+
+
+def _problem(args: argparse.Namespace):
+    """The shared prologue of infer, network and sweep-beta: the resolved
+    config, the counts (checked against its k), prior, constraint and engine."""
+    config = _resolved_config(args)
+    counts = read_counts(args.counts)
+    if counts.k != config.k:
+        raise ValueError(f"counts file has k={counts.k}, config has k={config.k}")
+    prior = PriorSpec.of(config.prior)
+    constraint = config.constraint or ConstraintSpec.none(config.k)
+    return config, counts, prior, constraint, config.engine.build(config.k)
 
 
 def _parse_view(text: str | None, counts: CountVector) -> AgentView:
@@ -159,14 +170,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    config = _resolved_config(args)
-    counts = read_counts(args.counts)
-    if counts.k != config.k:
-        raise ValueError(f"counts file has k={counts.k}, config has k={config.k}")
+    config, counts, prior, constraint, engine = _problem(args)
     view = _parse_view(args.view, counts)
-    prior = PriorSpec.of(config.prior)
-    constraint = config.constraint or ConstraintSpec.none(config.k)
-    engine = config.build_engine()
     t0 = time.perf_counter()
     solved = solve_beta(prior, view, constraint, engine)
     model = posterior(solved)
@@ -189,14 +194,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_network(args: argparse.Namespace) -> int:
-    config = _resolved_config(args)
-    counts = read_counts(args.counts)
-    if counts.k != config.k:
-        raise ValueError(f"counts file has k={counts.k}, config has k={config.k}")
+    config, counts, prior, constraint, engine = _problem(args)
     net = config.build_network()
-    prior = PriorSpec.of(config.prior)
-    constraint = config.constraint or ConstraintSpec.none(config.k)
-    engine = config.build_engine()
     t0 = time.perf_counter()
     table = infer_all(net, counts, config.round, prior, constraint, engine)
     agents_payload = []
@@ -246,12 +245,8 @@ def cmd_network(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_beta(args: argparse.Namespace) -> int:
-    config = _resolved_config(args)
-    counts = read_counts(args.counts)
+    _, counts, prior, constraint, engine = _problem(args)
     view = _parse_view(args.view, counts)
-    prior = PriorSpec.of(config.prior)
-    constraint = config.constraint or ConstraintSpec.none(config.k)
-    engine = config.build_engine()
     for flag, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max),
                         ("--beta-step", args.beta_step)):
         if not math.isfinite(value):
@@ -260,8 +255,11 @@ def cmd_sweep_beta(args: argparse.Namespace) -> int:
         raise ValueError("beta step must be > 0")
     if args.beta_max < args.beta_min:
         raise ValueError("beta range is empty")
-    steps = int(round((args.beta_max - args.beta_min) / args.beta_step))
-    betas = [args.beta_min + i * args.beta_step for i in range(steps + 1)]
+    span = (args.beta_max - args.beta_min) / args.beta_step  # may overflow to inf
+    n_rows = round(span) + 1 if math.isfinite(span) else math.inf
+    if n_rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"beta range gives {n_rows} rows, more than {MAX_SWEEP_ROWS}")
+    betas = [args.beta_min + i * args.beta_step for i in range(n_rows)]
     rows = [
         {"beta": beta, "log_zeta": lz, "expected_f": ef, "s_me": lz - beta * ef}
         for beta, (lz, ef) in zip(betas, tilt_table(prior, view, constraint, betas, engine))

@@ -39,11 +39,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from .multinomial import AgentView, log_power, view_log_likelihood_nodes
-from .simplex import DEFAULT_NODE_BUDGET, SimplexGrid, build_grid, sample_dirichlet
+from .simplex import build_grid, sample_dirichlet
 
-DEFAULT_SOLVER_TOL = 1e-9
-DEFAULT_MAX_ITER = 200
+SOLVER_TOL = 1e-9
+MAX_ITER = 200
 BETA_CAP = 2.0**16
+DEFAULT_RESOLUTION = {2: 960, 3: 240, 4: 60}  # the default engine's grid, by k
 DEFAULT_MC_SAMPLES = 200_000
 MARGINAL_BINS = 100
 
@@ -70,8 +71,10 @@ class PriorSpec:
     def __post_init__(self) -> None:
         if len(self.dirichlet_params) < 2:
             raise ValueError("prior needs at least 2 parameters")
-        if any(a <= 0.0 for a in self.dirichlet_params):
-            raise ValueError(f"Dirichlet parameters must be > 0, got {self.dirichlet_params}")
+        if not all(0.0 < a < math.inf for a in self.dirichlet_params):
+            raise ValueError(
+                f"prior Dirichlet parameters must be finite and > 0, got {self.dirichlet_params}"
+            )
 
     @classmethod
     def flat(cls, k: int) -> "PriorSpec":
@@ -105,6 +108,10 @@ class ConstraintSpec:
 
     f: tuple[float, ...]
     F: float
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (*self.f, self.F)):
+            raise ValueError(f"constraint f and F must be finite, got f={self.f}, F={self.F!r}")
 
     @classmethod
     def of(cls, f: Sequence[float], F: float) -> "ConstraintSpec":
@@ -153,20 +160,16 @@ class SolvedConstraint:
 
 
 class GridEngine:
-    """Deterministic lattice-quadrature backend (k <= 4 recommended)."""
+    """Deterministic lattice-quadrature backend (k <= 4 recommended).
 
-    def __init__(self, k: int, resolution: int | None = None,
-                 node_budget: int = DEFAULT_NODE_BUDGET):
+    The grid is built here, so an invalid or oversized resolution is refused
+    before any fit.
+    """
+
+    def __init__(self, k: int, resolution: int):
         self.k = k
-        self.resolution = resolution if resolution is not None else default_resolution(k)
-        self.node_budget = node_budget
-        self._grid: SimplexGrid | None = None
-
-    @property
-    def grid(self) -> SimplexGrid:
-        if self._grid is None:
-            self._grid = build_grid(self.k, self.resolution, self.node_budget)
-        return self._grid
+        self.resolution = resolution
+        self.grid = build_grid(k, resolution)
 
     def basis(self, prior: PriorSpec, view: AgentView) -> tuple[np.ndarray, np.ndarray]:
         """Return (theta nodes, log reference weights)."""
@@ -190,7 +193,7 @@ class McEngine:
     carry the flat-measure/proposal density ratio.
     """
 
-    def __init__(self, k: int, samples: int = DEFAULT_MC_SAMPLES, seed: int = 0):
+    def __init__(self, k: int, samples: int, seed: int):
         if samples < 2:
             raise ValueError("samples must be >= 2")
         self.k = k
@@ -211,7 +214,7 @@ class McEngine:
 
     def basis(self, prior: PriorSpec, view: AgentView) -> tuple[np.ndarray, np.ndarray]:
         params = self.proposal_params(prior, view)
-        theta = sample_dirichlet(params, self.samples, self.seed, stream=0)
+        theta = sample_dirichlet(params, self.samples, self.seed)
         const = gammaln(params.sum()) - float(np.sum(gammaln(params))) - gammaln(self.k)
         log_proposal_rel = const + np.log(theta) @ (params - 1.0)
         logw = -np.log(self.samples) - log_proposal_rel
@@ -222,23 +225,6 @@ class McEngine:
 
     def __repr__(self) -> str:
         return f"McEngine(k={self.k}, samples={self.samples}, seed={self.seed})"
-
-
-def default_resolution(k: int) -> int:
-    if k == 2:
-        return 960
-    if k == 3:
-        return 240
-    if k == 4:
-        return 60
-    raise ValueError(f"no default grid resolution for k={k}; use McEngine")
-
-
-def default_engine(k: int):
-    """Grid backend for k <= 4, Monte-Carlo for higher dimensions."""
-    if k <= 4:
-        return GridEngine(k)
-    return McEngine(k)
 
 
 class _TiltedFamily:
@@ -310,26 +296,26 @@ def tilt_table(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
     return [(fam.log_zeta(beta), fam.expected_f(beta)) for beta in betas]
 
 
-def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec, engine,
-               tol: float = DEFAULT_SOLVER_TOL,
-               max_iter: int = DEFAULT_MAX_ITER) -> SolvedConstraint:
+def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
+               engine) -> SolvedConstraint:
     """Fit the multiplier so the posterior satisfies the moment constraint.
 
     Feasible targets are the open interval (min f_i, max f_i); a constant f
     is feasible only at its own value.  If the constraint already holds at
-    beta = 0 (within tol) the solve returns beta = 0 exactly.  Otherwise it
-    takes safeguarded Newton steps from beta = 0 on <f>_beta - F, measured
-    as a logit within the range of f over the engine's nodes, with slope
-    from Var_beta f; <f> and Var f come from one weights pass.  Every
-    evaluated beta tightens a sign bracket [lo, hi].  A Newton step is taken
-    only when it lands strictly inside the bracket; otherwise the bracket is
-    bisected, or, while one side is still open, the step is capped at
-    max(1, 2|beta|) and |beta| at 2^16.  The solve stops when
-    |<f> - F| <= tol; a bracket narrower than 1e-12 or max_iter evaluations
-    without that is a ConvergenceError.  A target outside the range of f
-    over the nodes is an EngineRangeError, raised after the beta = 0 check
-    and before any step.  `iterations` counts the
-    tilted-family evaluations after the beta = 0 check.  The fitted family
+    beta = 0 (within SOLVER_TOL) the solve returns beta = 0 exactly.
+    Otherwise it takes safeguarded Newton steps from beta = 0 on
+    <f>_beta - F, measured as a logit within the range of f over the
+    engine's nodes, with slope from Var_beta f; <f> and Var f come from one
+    weights pass.  Every evaluated beta tightens a sign bracket [lo, hi].  A
+    Newton step is taken only when it lands strictly inside the bracket;
+    otherwise the bracket is bisected, or, while one side is still open, the
+    step is capped at max(1, 2|beta|) and |beta| at 2^16.  The solve stops
+    when |<f> - F| <= SOLVER_TOL; a bracket narrower than 1e-12 or MAX_ITER
+    evaluations without that is a ConvergenceError.  The tolerance and the
+    evaluation cap are fixed module constants.  A target outside the range
+    of f over the nodes is an EngineRangeError, raised after the beta = 0
+    check and before any step.  `iterations` counts the tilted-family
+    evaluations after the beta = 0 check.  The fitted family
     is kept on the result, so `posterior(solved)` needs no other input and
     does not build it again.
     """
@@ -361,7 +347,7 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec, en
     beta = 0.0
     e, var = fam.moments_f(beta)
     resid = abs(e - F)
-    if resid > tol and not a < F < b:
+    if resid > SOLVER_TOL and not a < F < b:
         raise EngineRangeError(
             f"target F = {F} lies outside ({a!r}, {b!r}), the interval of <f> "
             f"attainable on the nodes of {engine!r}; a finer grid widens it"
@@ -369,15 +355,15 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec, en
     target = logit(F)
     lo, hi = -math.inf, math.inf
     iters = 0
-    while resid > tol:
+    while resid > SOLVER_TOL:
         if e < F:
             lo = beta
         else:
             hi = beta
-        if hi - lo <= 1e-12 or iters >= max_iter:
+        if hi - lo <= 1e-12 or iters >= MAX_ITER:
             raise ConvergenceError(
-                f"beta solve stalled: beta = {beta!r}, residual = {resid!r} > tol = {tol!r}, "
-                f"interval = [{lo!r}, {hi!r}] after {iters} evaluations"
+                f"beta solve stalled: beta = {beta!r}, residual = {resid!r} "
+                f"> tol = {SOLVER_TOL!r}, interval = [{lo!r}, {hi!r}] after {iters} evaluations"
             )
         # d logit(<f>)/d beta = Var f * (b - a) / ((<f> - a)(b - <f>))
         gap = (e - a) * (b - e)
@@ -405,7 +391,7 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec, en
         iters += 1
     return SolvedConstraint(
         spec=constraint, beta=beta, log_zeta=fam.log_zeta(beta),
-        residual=resid, tol=tol, family=fam, iterations=iters,
+        residual=resid, tol=SOLVER_TOL, family=fam, iterations=iters,
     )
 
 

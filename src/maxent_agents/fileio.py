@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .engine import ConstraintSpec, GridEngine, McEngine, default_engine
+from .engine import DEFAULT_MC_SAMPLES, DEFAULT_RESOLUTION, ConstraintSpec, GridEngine, McEngine
 from .multinomial import AgentView, CountVector
-from .network import AgentNetwork, build_network
+from .network import AgentNetwork, complete_network, explicit_network, triangle_lattice_network
 from .simplex import ThetaPoint
 
 
@@ -113,23 +113,32 @@ class EngineSettings:
             raise ValueError("choose either a grid resolution or mc_samples, not both")
 
     def build(self, k: int):
+        """The engine for dimension k: the configured grid or sample count,
+        else the grid of DEFAULT_RESOLUTION for k <= 4 and DEFAULT_MC_SAMPLES
+        draws above; Monte-Carlo engines always use `mc_seed`."""
         if self.grid is not None:
             return GridEngine(k, self.grid)
-        if self.mc_samples is not None:
-            return McEngine(k, self.mc_samples, self.mc_seed)
-        return default_engine(k)
+        if self.mc_samples is None and k in DEFAULT_RESOLUTION:
+            return GridEngine(k, DEFAULT_RESOLUTION[k])
+        samples = DEFAULT_MC_SAMPLES if self.mc_samples is None else self.mc_samples
+        return McEngine(k, samples, self.mc_seed)
 
     def to_payload(self) -> dict:
+        payload: dict[str, Any] = {}
         if self.grid is not None:
-            return {"grid": self.grid}
+            payload["grid"] = self.grid
         if self.mc_samples is not None:
-            return {"mc_samples": self.mc_samples, "mc_seed": self.mc_seed}
-        return {}
+            payload["mc_samples"] = self.mc_samples
+        if self.mc_samples is not None or self.mc_seed:
+            payload["mc_seed"] = self.mc_seed
+        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any] | None) -> "EngineSettings":
-        if not payload:
+        if payload is None:
             return cls()
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"config engine must be a JSON object, got {type(payload).__name__}")
         return cls(
             grid=int(payload["grid"]) if "grid" in payload else None,
             mc_samples=int(payload["mc_samples"]) if "mc_samples" in payload else None,
@@ -167,26 +176,19 @@ class ExperimentConfig:
         if self.round < 0:
             raise ValueError("round must be >= 0")
 
-    def build_engine(self):
-        return self.engine.build(self.k)
-
     def build_network(self) -> AgentNetwork:
-        if not self.network:
-            return build_network("complete", k=self.k)
-        spec = dict(self.network)
-        preset = spec.pop("preset", "explicit" if "edges" in spec else None)
-        if preset is None:
-            raise ValueError("network section needs a preset or an edge list")
-        kwargs: dict[str, Any] = {}
+        spec = self.network or {"preset": "complete"}
+        preset = spec.get("preset", "explicit" if "edges" in spec else None)
         if preset == "complete":
-            kwargs["k"] = int(spec.get("k", self.k))
-        elif preset == "triangle-lattice":
-            kwargs["rows"] = int(spec["rows"])
-            kwargs["cols"] = int(spec["cols"])
-        elif preset == "explicit":
-            kwargs["k"] = int(spec.get("k", self.k))
-            kwargs["edges"] = [(int(a), int(b)) for a, b in spec.get("edges", [])]
-        return build_network(preset, **kwargs)
+            return complete_network(int(spec.get("k", self.k)))
+        if preset == "triangle-lattice":
+            return triangle_lattice_network(int(spec["rows"]), int(spec["cols"]))
+        if preset == "explicit":
+            edges = [(int(a), int(b)) for a, b in spec.get("edges", [])]
+            return explicit_network(int(spec.get("k", self.k)), edges)
+        raise ValueError(
+            f"unknown network preset {preset!r}; use complete, triangle-lattice or explicit"
+        )
 
     def to_payload(self) -> dict:
         payload: dict[str, Any] = {
@@ -210,6 +212,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "ExperimentConfig":
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
         constraint = None
         if payload.get("constraint") is not None:
             c = payload["constraint"]
@@ -234,10 +238,6 @@ class ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig.from_payload(read_payload(path))
-
-
-def save_config(path: str | Path, config: ExperimentConfig) -> None:
-    write_payload(path, config.to_payload())
 
 
 def write_counts(path: str | Path, counts: CountVector, seed: int,
@@ -265,13 +265,6 @@ def read_counts(path: str | Path) -> CountVector:
 
 def view_to_payload(view: AgentView) -> dict:
     return {"k": view.k, "n": view.n, "visible": [[s, c] for s, c in view.visible]}
-
-
-def view_from_payload(payload: Mapping[str, Any]) -> AgentView:
-    return AgentView.from_mapping(
-        int(payload["k"]), int(payload["n"]),
-        {int(s): int(c) for s, c in payload["visible"]},
-    )
 
 
 def write_sweep_csv(path: str | Path, rows: Sequence[Mapping[str, float]]) -> None:

@@ -29,32 +29,13 @@ from scipy.special import gammaln, xlogy
 
 from .simplex import ThetaPoint, dirichlet_sampler
 
-LOG_FACTORIAL_TABLE_MAX = 10**6
-_log_factorial_table = gammaln(np.arange(1024, dtype=float) + 1.0)
-
 
 def log_factorial(n):
-    """log(n!) via a cached table, falling back to log-Gamma above the cap.
-
-    The table entries are log-Gamma values themselves, so table and fallback
-    agree identically wherever both apply.  n may be a scalar or an array.
-    """
-    global _log_factorial_table
+    """log(n!) as log-Gamma(n + 1); n may be a scalar or an array."""
     arr = np.asarray(n)
     if np.any(arr < 0):
         raise ValueError("factorial argument must be >= 0")
-    top = int(arr.max(initial=0))
-    if top >= _log_factorial_table.size and top < LOG_FACTORIAL_TABLE_MAX:
-        size = _log_factorial_table.size
-        while size <= top:
-            size *= 2
-        _log_factorial_table = gammaln(
-            np.arange(min(size, LOG_FACTORIAL_TABLE_MAX + 1), dtype=float) + 1.0
-        )
-    if top < _log_factorial_table.size:
-        out = _log_factorial_table[arr]
-    else:
-        out = gammaln(np.asarray(arr, dtype=float) + 1.0)
+    out = gammaln(arr + 1.0)
     return float(out) if np.isscalar(n) or arr.ndim == 0 else out
 
 
@@ -81,9 +62,6 @@ class CountVector:
     @property
     def n(self) -> int:
         return int(sum(self.counts))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -133,9 +111,6 @@ class AgentView:
     def empty(cls, k: int, n: int) -> "AgentView":
         return cls(k=k, n=n, visible=())
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.visible)
-
     @property
     def visible_sides(self) -> tuple[int, ...]:
         return tuple(s for s, _ in self.visible)
@@ -143,10 +118,6 @@ class AgentView:
     @property
     def visible_total(self) -> int:
         return int(sum(c for _, c in self.visible))
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.visible) == self.k
 
 
 def log_power(exponents, nodes: np.ndarray) -> np.ndarray:

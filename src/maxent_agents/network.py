@@ -117,25 +117,6 @@ def explicit_network(k: int, edges: Iterable[Sequence[int]],
     return AgentNetwork(k=k, edges=_normalize_edges(edges), assignment=assign)
 
 
-def build_network(preset: str, *, k: int | None = None, rows: int | None = None,
-                  cols: int | None = None,
-                  edges: Iterable[Sequence[int]] | None = None) -> AgentNetwork:
-    """Build a network from a preset name: complete, triangle-lattice, explicit."""
-    if preset == "complete":
-        if k is None:
-            raise ValueError("complete preset needs k")
-        return complete_network(k)
-    if preset == "triangle-lattice":
-        if rows is None or cols is None:
-            raise ValueError("triangle-lattice preset needs rows and cols")
-        return triangle_lattice_network(rows, cols)
-    if preset == "explicit":
-        if k is None or edges is None:
-            raise ValueError("explicit preset needs k and edges")
-        return explicit_network(k, edges)
-    raise ValueError(f"unknown network preset {preset!r}")
-
-
 def views_at_round(net: AgentNetwork, counts: CountVector, round: int) -> dict[int, AgentView]:
     """Each agent's view after `round` hops of glancing.
 

@@ -19,7 +19,9 @@ uniform O(1/r^2) bias of naive centroid shifts; what remains is a boundary
 term that decays rapidly with the order to which the integrand vanishes on
 the simplex boundary.  Nodes never touch the boundary (integrands may
 contain log theta_i), the layout is exactly symmetric under coordinate
-permutations, and weight normalization is exact by construction.
+permutations, and weight normalization is exact by construction.  A grid
+of more than NODE_BUDGET nodes is refused.  Every draw, for the Monte-Carlo
+engine and the simulator alike, comes from one fixed generator per seed.
 
 Everything here is a pure function of its inputs and every returned value
 is immutable after construction, so grids and draws are safe to share
@@ -34,7 +36,7 @@ import numpy as np
 from scipy.special import comb
 
 THETA_SUM_TOL = 1e-12
-DEFAULT_NODE_BUDGET = 10**6
+NODE_BUDGET = 10**6
 
 
 class NodeBudgetError(ValueError):
@@ -50,7 +52,7 @@ class ThetaPoint:
     def __post_init__(self) -> None:
         if len(self.components) < 2:
             raise ValueError("theta needs at least 2 components")
-        if any(c < 0.0 for c in self.components):
+        if not all(c >= 0.0 for c in self.components):  # refuses NaN too
             raise ValueError(f"theta components must be >= 0, got {self.components}")
         total = float(np.sum(np.sort(np.asarray(self.components, dtype=float))))
         if abs(total - 1.0) > THETA_SUM_TOL:
@@ -112,30 +114,29 @@ class SimplexGrid:
         return self.nodes.shape[0]
 
 
-def build_grid(k: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET) -> SimplexGrid:
+def build_grid(k: int, r: int) -> SimplexGrid:
     """Build the deterministic simplex grid at resolution r.
 
     Parameters
     ----------
     k : dimension (>= 2)
     r : subdivisions per edge (>= 1)
-    node_budget : refuse grids with more than this many nodes
 
     Raises
     ------
     NodeBudgetError
-        if C(r+k-1, k-1) exceeds `node_budget`; use the Monte-Carlo engine
-        (`McEngine`) for such dimensions.
+        if C(r+k-1, k-1) exceeds NODE_BUDGET, the fixed cap on grid nodes;
+        use the Monte-Carlo engine (`McEngine`) for such dimensions.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if r < 1:
         raise ValueError("r must be >= 1")
     n_nodes = int(round(comb(r + k - 1, k - 1, exact=True)))
-    if n_nodes > node_budget:
+    if n_nodes > NODE_BUDGET:
         raise NodeBudgetError(
             f"grid for k={k}, r={r} needs {n_nodes} nodes "
-            f"(budget {node_budget}); use the Monte-Carlo backend instead"
+            f"(budget {NODE_BUDGET}); use the Monte-Carlo backend instead"
         )
     counts = compositions(r, k)
     D, s = lattice_scale(k, r)
@@ -143,25 +144,23 @@ def build_grid(k: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Simple
     return SimplexGrid(k=k, resolution=r, nodes=nodes)
 
 
-def dirichlet_sampler(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for a (seed, stream) pair.
+def dirichlet_sampler(seed: int) -> np.random.Generator:
+    """Counter-based generator for a seed.
 
-    Sub-streams are derived as Philox(SeedSequence(seed, spawn_key=(stream,)));
+    The generator is Philox(SeedSequence(seed, spawn_key=(0,)));
     this derivation is fixed so results are reproducible across platforms
     and thread counts.
     """
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,)))
+        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,)))
     )
 
 
-def sample_dirichlet(
-    params: Sequence[float], samples: int, seed: int, stream: int = 0
-) -> np.ndarray:
+def sample_dirichlet(params: Sequence[float], samples: int, seed: int) -> np.ndarray:
     """Draw `samples` Dirichlet(params) vectors via normalized Gamma variates."""
     alpha = np.asarray(params, dtype=float)
     if np.any(alpha <= 0.0):
         raise ValueError("dirichlet parameters must be > 0")
-    rng = dirichlet_sampler(seed, stream)
+    rng = dirichlet_sampler(seed)
     gam = rng.standard_gamma(alpha, size=(samples, alpha.size))
     return gam / gam.sum(axis=1, keepdims=True)

@@ -229,7 +229,7 @@ def test_criterion_8_entropy_identity(eng240):
             rep = me_entropy(model)
             assert rep.s_me <= 0.0
             direct = entropy_functional(
-                model, tuple(alpha), 3, n, AgentView.full(counts).as_dict(), nodes
+                model, tuple(alpha), 3, n, dict(AgentView.full(counts).visible), nodes
             )
             assert abs(rep.s_me - direct) <= 1e-6
 

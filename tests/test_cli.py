@@ -23,26 +23,25 @@ from maxent_agents.fileio import (
     load_config,
     parse_constraint_shorthand,
     read_counts,
-    save_config,
-    view_from_payload,
     write_payload,
 )
 
 
+CONFIG = {
+    "k": 3,
+    "n": 10,
+    "seed": 7,
+    "prior": [1.0, 1.0, 1.0],
+    "constraint": {"f": [1.0, 0.0, -2.0], "F": 0.0},
+    "theta_true": [0.5, 0.3, 0.2],
+    "network": {"preset": "complete"},
+    "round": 1,
+    "engine": {"grid": 60},
+}
+
+
 def write_config(path, **overrides):
-    payload = {
-        "k": 3,
-        "n": 10,
-        "seed": 7,
-        "prior": [1.0, 1.0, 1.0],
-        "constraint": {"f": [1.0, 0.0, -2.0], "F": 0.0},
-        "theta_true": [0.5, 0.3, 0.2],
-        "network": {"preset": "complete"},
-        "round": 1,
-        "engine": {"grid": 60},
-    }
-    payload.update(overrides)
-    write_payload(path, payload)
+    write_payload(path, {**CONFIG, **overrides})
     return path
 
 
@@ -98,7 +97,7 @@ class TestSerialization:
             engine=EngineSettings(grid=30),
         )
         path = tmp_path / "config.json"
-        save_config(path, config)
+        write_payload(path, config.to_payload())
         assert load_config(path) == config
 
     def test_config_round_trip_mc(self, tmp_path):
@@ -108,8 +107,16 @@ class TestSerialization:
             engine=EngineSettings(mc_samples=1000, mc_seed=3),
         )
         path = tmp_path / "config.json"
-        save_config(path, config)
+        write_payload(path, config.to_payload())
         assert load_config(path) == config
+
+    @pytest.mark.parametrize("settings", [
+        EngineSettings(), EngineSettings(mc_seed=5), EngineSettings(grid=30, mc_seed=5),
+        EngineSettings(mc_samples=1000), EngineSettings(mc_samples=1000, mc_seed=5),
+    ])
+    def test_engine_settings_round_trip(self, settings):
+        text = dumps_canonical(settings.to_payload())
+        assert EngineSettings.from_payload(json.loads(text)) == settings
 
     def test_constraint_shorthand(self):
         spec = parse_constraint_shorthand("f=1,0,-2;F=0")
@@ -239,9 +246,10 @@ class TestInfer:
         record = json.loads(out.read_text())
         echoed = ExperimentConfig.from_payload(record["config"])
         agent = record["agents"][0]
-        view = view_from_payload(agent["view"])
+        v = agent["view"]
+        view = AgentView.from_mapping(v["k"], v["n"], dict(v["visible"]))
         value = _TiltedFamily(
-            PriorSpec.of(echoed.prior), view, echoed.constraint, echoed.build_engine(),
+            PriorSpec.of(echoed.prior), view, echoed.constraint, echoed.engine.build(echoed.k),
         ).expected_f(agent["beta"])
         assert abs(value - echoed.constraint.F) == pytest.approx(
             agent["residual"], abs=1e-15
@@ -263,6 +271,20 @@ class TestInfer:
         assert err.startswith("error: ") and "--view" in err
         assert "Traceback" not in err
 
+    def test_mc_seed_without_mc_samples(self, tmp_path):
+        # k = 5 defaults to the Monte-Carlo engine, which must use the seed.
+        config = tmp_path / "c.json"
+        write_payload(config, {"k": 5, "n": 4, "seed": 1, "prior": [1.0] * 5,
+                               "engine": {"mc_seed": 5}})
+        counts = tmp_path / "counts.json"
+        write_payload(counts, {"k": 5, "n": 4, "counts": [1, 0, 2, 1, 0], "seed": 1})
+        out = tmp_path / "result.json"
+        assert main(["infer", "--config", str(config), "--counts", str(counts),
+                     "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        assert record["meta"]["engine"] == {"mc_samples": 200000, "mc_seed": 5}
+        assert record["config"]["engine"] == {"mc_seed": 5}
+
     @pytest.mark.parametrize("command", ["simulate", "network"])
     def test_grid_and_mc_samples_exit_code(self, tmp_path, capsys, command):
         config = write_config(tmp_path / "c.json")
@@ -275,6 +297,78 @@ class TestInfer:
         assert main(argv) == 4
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "x").exists()
+
+
+class TestInputChecks:
+    """Bad input exits 4 with an error line naming it, before any fit and
+    without writing an output file."""
+
+    def _run(self, tmp_path, capsys, argv):
+        counts = tmp_path / "counts.json"
+        write_payload(counts, {"k": 3, "n": 10, "counts": [5, 3, 2], "seed": 7})
+        out = tmp_path / "x"
+        code = main(argv + ["--counts", str(counts), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert not out.exists()
+        assert "Traceback" not in err
+        return code, err
+
+    @pytest.mark.parametrize("command", ["infer", "network"])
+    @pytest.mark.parametrize("grid, named", [
+        pytest.param("0", "r must be >= 1", id="r0"),
+        pytest.param("100000", "budget", id="over-budget"),
+    ])
+    def test_invalid_grid_exit_code(self, tmp_path, capsys, command, grid, named):
+        config = write_config(tmp_path / "c.json")
+        code, err = self._run(tmp_path, capsys,
+                              [command, "--config", str(config), "--grid", grid])
+        assert code == 4
+        assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("command", ["network", "sweep-beta"])
+    @pytest.mark.parametrize("payload, named", [
+        pytest.param([CONFIG], "config must be a JSON object", id="list-config"),
+        pytest.param({**CONFIG, "engine": [60]}, "engine must be a JSON object",
+                     id="list-engine"),
+        pytest.param({**CONFIG, "prior": [1.0, math.nan, 1.0]}, "prior", id="nan-prior"),
+        pytest.param({**CONFIG, "prior": [1.0, math.inf, 1.0]}, "prior", id="inf-prior"),
+        pytest.param({**CONFIG, "constraint": {"f": [1.0, math.nan, -2.0], "F": 0.0}},
+                     "constraint", id="nan-f"),
+        pytest.param({**CONFIG, "constraint": {"f": [1.0, 0.0, -2.0], "F": math.nan}},
+                     "constraint", id="nan-F"),
+        pytest.param({**CONFIG, "constraint": {"f": [1.0, 0.0, -2.0], "F": -math.inf}},
+                     "constraint", id="inf-F"),
+        pytest.param({**CONFIG, "theta_true": [math.nan, 0.5, 0.5]}, "theta",
+                     id="nan-theta_true"),
+    ])
+    def test_bad_config_exit_code(self, tmp_path, capsys, command, payload, named):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(payload))  # json writes NaN and Infinity
+        argv = [command, "--config", str(config)]
+        if command == "sweep-beta":
+            argv += ["--beta-min", "0", "--beta-max", "1", "--beta-step", "0.5"]
+        code, err = self._run(tmp_path, capsys, argv)
+        assert code == 4
+        assert err.startswith("error: ") and named in err
+
+    def test_sweep_row_cap(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        code, err = self._run(tmp_path, capsys, [
+            "sweep-beta", "--config", str(config),
+            "--beta-min", "0", "--beta-max", "1e9", "--beta-step", "1e-3",
+        ])
+        assert code == 4
+        assert err == ("error: beta range gives 1000000000001 rows, "
+                       f"more than {cli.MAX_SWEEP_ROWS}\n")
+
+    def test_sweep_row_count_overflow(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        code, err = self._run(tmp_path, capsys, [
+            "sweep-beta", "--config", str(config),
+            "--beta-min=-1e308", "--beta-max", "1e308", "--beta-step", "1e-300",
+        ])
+        assert code == 4
+        assert err.startswith("error: beta range gives inf rows")
 
 
 class TestNetworkCmd:

@@ -11,13 +11,13 @@ from maxent_agents import (
     AgentView,
     ConstraintSpec,
     CountVector,
+    EngineSettings,
     EntropyReport,
     GridEngine,
     InfeasibleConstraintError,
     McEngine,
     PriorSpec,
     SolvedConstraint,
-    default_engine,
     me_entropy,
     posterior,
     posterior_summary,
@@ -390,10 +390,10 @@ class TestEntropy:
 
 class TestMcEngineEndToEnd:
     def test_defaults(self):
-        assert isinstance(default_engine(3), GridEngine)
-        assert default_engine(3).resolution == 240
-        assert default_engine(4).resolution == 60
-        assert isinstance(default_engine(5), McEngine)
+        assert isinstance(EngineSettings().build(3), GridEngine)
+        assert EngineSettings().build(3).resolution == 240
+        assert EngineSettings().build(4).resolution == 60
+        assert isinstance(EngineSettings().build(5), McEngine)
 
     def test_solve_and_normalize_k6(self):
         k = 6

@@ -76,7 +76,7 @@ class TestAgentView:
     def test_full_and_empty(self):
         m = CountVector.of([5, 3, 2])
         full = AgentView.full(m)
-        assert full.is_full and full.visible_total == 10
+        assert full.visible_sides == (1, 2, 3) and full.visible_total == 10
         empty = AgentView.empty(3, 10)
         assert empty.visible == () and empty.n == 10
 
@@ -245,7 +245,7 @@ class TestSimulateRolls:
     def test_law_of_large_numbers(self):
         theta = (0.5, 0.3, 0.2)
         counts = simulate_rolls(ThetaPoint.of(theta), 100_000, seed=42)
-        freqs = counts.as_array() / counts.n
+        freqs = np.asarray(counts.counts) / counts.n
         assert np.abs(freqs - np.array(theta)).max() <= 0.01
 
     def test_rejects_negative_n(self):

@@ -7,11 +7,11 @@ from maxent_agents import (
     AgentView,
     ConstraintSpec,
     CountVector,
+    ExperimentConfig,
     GridEngine,
     InfeasibleConstraintError,
     PriorSpec,
     belief_divergence,
-    build_network,
     complete_network,
     explicit_network,
     infer_all,
@@ -56,11 +56,15 @@ class TestBuildNetwork:
         assert all(net.neighbors(a) == () for a in (1, 2, 3))
 
     def test_preset_dispatch(self):
-        assert build_network("complete", k=4).k == 4
-        assert build_network("triangle-lattice", rows=2, cols=3).k == 6
-        assert build_network("explicit", k=3, edges=[(3, 1)]).edges == ((1, 3),)
+        def build(k, network):
+            return ExperimentConfig(k=k, n=0, seed=0, prior=(1.0,) * k,
+                                    network=network).build_network()
+
+        assert build(4, {"preset": "complete"}).k == 4
+        assert build(6, {"preset": "triangle-lattice", "rows": 2, "cols": 3}).k == 6
+        assert build(3, {"preset": "explicit", "edges": [[3, 1]]}).edges == ((1, 3),)
         with pytest.raises(ValueError, match="preset"):
-            build_network("ring", k=3)
+            build(3, {"preset": "ring"})
 
     def test_validation(self):
         with pytest.raises(ValueError, match="self-loop"):

@@ -196,7 +196,10 @@ class TestExpectMc:
         with pytest.raises(ValueError):
             sample_dirichlet([1.0, 0.0], 10, seed=0)
 
-    def test_sampler_stream_separation(self):
-        a = sample_dirichlet([1.0, 1.0], 4, seed=5, stream=0)
-        b = sample_dirichlet([1.0, 1.0], 4, seed=5, stream=1)
-        assert not np.array_equal(a, b)
+    def test_sampler_is_pinned(self):
+        # Normalized standard-gamma draws from the one fixed Philox stream.
+        alpha = np.array([0.5, 1.0, 2.5])
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5, spawn_key=(0,))))
+        gam = rng.standard_gamma(alpha, size=(4, 3))
+        expected = gam / gam.sum(axis=1, keepdims=True)
+        assert np.array_equal(sample_dirichlet(alpha, 4, seed=5), expected)
