@@ -117,11 +117,13 @@ def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _problem(args: argparse.Namespace):
     """The shared prologue of infer, network and sweep-beta: the resolved
-    config, the counts (checked against its k), prior, constraint and engine."""
+    config, the counts (checked against its k and n), prior, constraint and engine."""
     config = _resolved_config(args)
     counts = read_counts(args.counts)
     if counts.k != config.k:
         raise ValueError(f"counts file has k={counts.k}, config has k={config.k}")
+    if counts.n != config.n:
+        raise ValueError(f"counts file has n={counts.n}, config has n={config.n}")
     prior = PriorSpec.of(config.prior)
     constraint = config.constraint or ConstraintSpec.none(config.k)
     return config, counts, prior, constraint, config.engine.build(config.k)

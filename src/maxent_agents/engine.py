@@ -36,10 +36,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .multinomial import AgentView, log_power, view_log_likelihood_nodes
-from .simplex import build_grid, sample_dirichlet
+from .simplex import NODE_BUDGET, NodeBudgetError, build_grid, sample_dirichlet
 
 SOLVER_TOL = 1e-9
 MAX_ITER = 200
@@ -94,11 +93,10 @@ class PriorSpec:
         The power product prod_i theta_i^{alpha_i - 1} goes through
         `log_power`: sides with alpha_i = 1 are skipped, so a flat prior is
         its constant (0) everywhere without a log evaluation.  The others
-        keep the xlogy conventions: alpha < 1 gives +inf and alpha > 1
-        gives -inf on faces.
+        give +inf (alpha < 1) or -inf (alpha > 1) on faces.
         """
         alpha = np.asarray(self.dirichlet_params)
-        const = gammaln(alpha.sum()) - float(np.sum(gammaln(alpha))) - gammaln(self.k)
+        const = math.lgamma(alpha.sum()) - sum(map(math.lgamma, alpha)) - math.lgamma(self.k)
         return const + log_power(alpha - 1.0, nodes)
 
 
@@ -196,6 +194,8 @@ class McEngine:
     def __init__(self, k: int, samples: int, seed: int):
         if samples < 2:
             raise ValueError("samples must be >= 2")
+        if samples > NODE_BUDGET:
+            raise NodeBudgetError(f"{samples} Monte-Carlo samples exceed the budget {NODE_BUDGET}")
         self.k = k
         self.samples = samples
         self.seed = seed
@@ -215,7 +215,7 @@ class McEngine:
     def basis(self, prior: PriorSpec, view: AgentView) -> tuple[np.ndarray, np.ndarray]:
         params = self.proposal_params(prior, view)
         theta = sample_dirichlet(params, self.samples, self.seed)
-        const = gammaln(params.sum()) - float(np.sum(gammaln(params))) - gammaln(self.k)
+        const = math.lgamma(params.sum()) - sum(map(math.lgamma, params)) - math.lgamma(self.k)
         log_proposal_rel = const + np.log(theta) @ (params - 1.0)
         logw = -np.log(self.samples) - log_proposal_rel
         return theta, logw

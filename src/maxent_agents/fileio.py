@@ -214,6 +214,9 @@ class ExperimentConfig:
     def from_payload(cls, payload: Mapping[str, Any]) -> "ExperimentConfig":
         if not isinstance(payload, Mapping):
             raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
+        network = payload.get("network")
+        if network is not None and not isinstance(network, Mapping):
+            raise ValueError(f"config network must be a JSON object, got {type(network).__name__}")
         constraint = None
         if payload.get("constraint") is not None:
             c = payload["constraint"]
@@ -230,7 +233,7 @@ class ExperimentConfig:
             prior=tuple(float(v) for v in payload.get("prior", [1.0] * int(payload["k"]))),
             constraint=constraint,
             theta_true=theta_true,
-            network=dict(payload["network"]) if payload.get("network") else None,
+            network=dict(network) if network else None,
             round=int(payload.get("round", 0)),
             engine=EngineSettings.from_payload(payload.get("engine")),
         )

@@ -16,27 +16,27 @@ oracles.
 Both this likelihood and the Dirichlet prior are power products
 prod_i theta_i^{e_i}; `log_power` evaluates their log over an array of
 nodes.  A zero exponent contributes exactly 0 in log space, so its column
-is skipped; the remaining columns keep scipy's `xlogy` conventions (a
-positive exponent on a zero coordinate gives -inf, a negative one +inf).
+is skipped (so 0 * log 0 never arises); through numpy's log, a positive
+exponent on a zero coordinate gives -inf and a negative one +inf.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .simplex import ThetaPoint, dirichlet_sampler
 
 
 def log_factorial(n):
     """log(n!) as log-Gamma(n + 1); n may be a scalar or an array."""
-    arr = np.asarray(n)
+    arr = np.asarray(n, dtype=float)
     if np.any(arr < 0):
         raise ValueError("factorial argument must be >= 0")
-    out = gammaln(arr + 1.0)
-    return float(out) if np.isscalar(n) or arr.ndim == 0 else out
+    out = np.array([math.lgamma(v + 1.0) for v in arr.flat]).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class AgentView:
 
 
 def log_power(exponents, nodes: np.ndarray) -> np.ndarray:
-    """log prod_i theta_i^{e_i} at each row of `nodes`: xlogy summed over e_i != 0.
+    """log prod_i theta_i^{e_i} at each row of `nodes`, as e_i log theta_i over e_i != 0.
 
     Skipped columns would add exact 0.0 terms, so with fewer than 8 columns
     the result equals the full-row sum bit for bit (numpy adds such rows
@@ -133,7 +133,8 @@ def log_power(exponents, nodes: np.ndarray) -> np.ndarray:
     cols = np.flatnonzero(e)
     if cols.size == 0:
         return np.zeros(nodes.shape[0])
-    return xlogy(e[cols], nodes[:, cols]).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        return (e[cols] * np.log(nodes[:, cols])).sum(axis=1)
 
 
 def view_log_likelihood_nodes(view: AgentView, nodes: np.ndarray) -> np.ndarray:
@@ -164,7 +165,8 @@ def view_log_likelihood_nodes(view: AgentView, nodes: np.ndarray) -> np.ndarray:
     out += log_power(exponents, nodes)
     if rest_count > 0:
         rest = np.maximum(1.0 - nodes[:, sides].sum(axis=1), 0.0)
-        out += xlogy(rest_count, rest)
+        with np.errstate(divide="ignore"):
+            out += rest_count * np.log(rest)
     return out
 
 

@@ -29,18 +29,18 @@ across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import comb
 
 THETA_SUM_TOL = 1e-12
 NODE_BUDGET = 10**6
 
 
 class NodeBudgetError(ValueError):
-    """Requested grid would exceed the configured node budget."""
+    """A requested grid or Monte-Carlo sample would exceed NODE_BUDGET nodes."""
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def build_grid(k: int, r: int) -> SimplexGrid:
         raise ValueError("k must be >= 2")
     if r < 1:
         raise ValueError("r must be >= 1")
-    n_nodes = int(round(comb(r + k - 1, k - 1, exact=True)))
+    n_nodes = math.comb(r + k - 1, k - 1)
     if n_nodes > NODE_BUDGET:
         raise NodeBudgetError(
             f"grid for k={k}, r={r} needs {n_nodes} nodes "

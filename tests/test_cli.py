@@ -1,6 +1,10 @@
 """Command-line interface and file-format tests."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from maxent_agents import (
     PriorSpec,
 )
 from maxent_agents import cli
+from maxent_agents import engine as engine_module
 from maxent_agents.cli import main
 from maxent_agents.engine import _TiltedFamily
 from maxent_agents.fileio import (
@@ -25,6 +30,7 @@ from maxent_agents.fileio import (
     read_counts,
     write_payload,
 )
+from maxent_agents.simplex import NODE_BUDGET
 
 
 CONFIG = {
@@ -43,6 +49,18 @@ CONFIG = {
 def write_config(path, **overrides):
     write_payload(path, {**CONFIG, **overrides})
     return path
+
+
+def test_cli_import_loads_no_scipy():
+    # The runtime needs numpy only; scipy.special alone takes longer to import
+    # than numpy, and every cold command would pay for it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, maxent_agents.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestSerialization:
@@ -340,6 +358,8 @@ class TestInputChecks:
                      "constraint", id="inf-F"),
         pytest.param({**CONFIG, "theta_true": [math.nan, 0.5, 0.5]}, "theta",
                      id="nan-theta_true"),
+        pytest.param({**CONFIG, "network": "complete"}, "network must be a JSON object",
+                     id="string-network"),
     ])
     def test_bad_config_exit_code(self, tmp_path, capsys, command, payload, named):
         config = tmp_path / "c.json"
@@ -350,6 +370,29 @@ class TestInputChecks:
         code, err = self._run(tmp_path, capsys, argv)
         assert code == 4
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("command", ["infer", "network", "sweep-beta"])
+    def test_counts_n_mismatch(self, tmp_path, capsys, command):
+        config = write_config(tmp_path / "c.json", n=40)
+        argv = [command, "--config", str(config)]
+        if command == "sweep-beta":
+            argv += ["--beta-min", "0", "--beta-max", "1", "--beta-step", "0.5"]
+        code, err = self._run(tmp_path, capsys, argv)
+        assert code == 4
+        assert err == "error: counts file has n=10, config has n=40\n"
+
+    def test_mc_sample_cap(self, tmp_path, capsys, monkeypatch):
+        # Refused before any draw; without the cap the draw would be the fault.
+        def no_draws(*args):
+            raise AssertionError("samples were drawn")
+
+        monkeypatch.setattr(engine_module, "sample_dirichlet", no_draws)
+        config = write_config(tmp_path / "c.json")
+        code, err = self._run(tmp_path, capsys, [
+            "infer", "--config", str(config), "--mc-samples", str(NODE_BUDGET + 1),
+        ])
+        assert code == 4
+        assert err.startswith("error: ") and f"budget {NODE_BUDGET}" in err
 
     def test_sweep_row_cap(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json")
@@ -448,7 +491,7 @@ class TestNetworkCmd:
 
 class TestSweepBeta:
     def test_table_shape_and_monotonicity(self, tmp_path):
-        config = write_config(tmp_path / "c.json", engine={"grid": 240})
+        config = write_config(tmp_path / "c.json", n=0, engine={"grid": 240})
         counts = tmp_path / "counts.json"
         write_payload(counts, {"k": 3, "n": 0, "counts": [0, 0, 0], "seed": 7})
         out = tmp_path / "sweep.csv"
@@ -494,7 +537,7 @@ class TestSweepBeta:
             assert ef == _TiltedFamily(prior, view, spec, engine).expected_f(beta)
 
     def test_bad_range(self, tmp_path):
-        config = write_config(tmp_path / "c.json")
+        config = write_config(tmp_path / "c.json", n=0)
         counts = tmp_path / "counts.json"
         write_payload(counts, {"k": 3, "n": 0, "counts": [0, 0, 0], "seed": 7})
         assert main(["sweep-beta", "--config", str(config), "--counts", str(counts),

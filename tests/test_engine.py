@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import gammaln, xlogy
 
 from maxent_agents import (
     AgentView,
@@ -24,6 +23,7 @@ from maxent_agents import (
     solve_beta,
 )
 from maxent_agents.engine import BETA_CAP, EngineRangeError, _TiltedFamily
+from maxent_agents.simplex import NODE_BUDGET, NodeBudgetError
 
 from oracles import (
     assert_row_sums_close,
@@ -31,6 +31,7 @@ from oracles import (
     entropy_functional,
     nodes_with_zeros,
     power_product_full,
+    power_terms,
     tilted_flat_posterior,
 )
 
@@ -98,7 +99,7 @@ class TestPriorDensity:
         mixed = np.resize([1.0, 0.5, 2.5], k)
         for alpha in (np.ones(k), mixed, rng.choice([1.0, 0.5, 2.5], size=k)):
             prior = PriorSpec.of(alpha)
-            const = gammaln(alpha.sum()) - float(np.sum(gammaln(alpha))) - gammaln(k)
+            const = math.lgamma(alpha.sum()) - sum(map(math.lgamma, alpha)) - math.lgamma(k)
             # Rows with a zero under alpha < 1 and another under alpha > 1
             # are inf - inf = nan in both forms.
             with np.errstate(invalid="ignore"):
@@ -107,7 +108,7 @@ class TestPriorDensity:
             if k <= 7 or np.all(alpha == 1.0):
                 np.testing.assert_array_equal(got, ref)
             else:
-                assert_row_sums_close(got, ref, xlogy(alpha - 1.0, pts))
+                assert_row_sums_close(got, ref, power_terms(alpha - 1.0, pts))
 
 
 class TestLogZeta:
@@ -394,6 +395,14 @@ class TestMcEngineEndToEnd:
         assert EngineSettings().build(3).resolution == 240
         assert EngineSettings().build(4).resolution == 60
         assert isinstance(EngineSettings().build(5), McEngine)
+
+    def test_sample_cap(self):
+        # Refused in the constructor, before a single draw is allocated.
+        assert McEngine(5, NODE_BUDGET, seed=0).samples == NODE_BUDGET
+        with pytest.raises(NodeBudgetError, match=f"budget {NODE_BUDGET}"):
+            McEngine(5, NODE_BUDGET + 1, seed=0)
+        with pytest.raises(NodeBudgetError, match="budget"):
+            EngineSettings(mc_samples=100 * NODE_BUDGET).build(5)
 
     def test_solve_and_normalize_k6(self):
         k = 6

@@ -22,7 +22,7 @@ from oracles import (
     compositions,
     log_multinomial_pmf,
     nodes_with_zeros,
-    power_product_full,
+    power_terms,
     view_loglik_brute,
 )
 
@@ -169,8 +169,8 @@ class TestViewLikelihood:
             assert vec[j] == pytest.approx(view_loglik_brute(4, 9, visible, p), rel=1e-12)
 
 
-def full_column_view_loglik(view, pts):
-    """The aggregated view likelihood with xlogy over every visible side."""
+def full_column_view_loglik(view, pts, terms=power_terms):
+    """The aggregated view likelihood with `terms` over every visible side."""
     if not view.visible:
         return np.zeros(pts.shape[0])
     sides = np.asarray(view.visible_sides) - 1
@@ -178,20 +178,50 @@ def full_column_view_loglik(view, pts):
     rest = view.n - float(mv.sum())
     coef = (log_factorial(view.n) - float(np.sum(log_factorial(mv.astype(np.int64))))
             - log_factorial(int(rest)))
-    out = coef + power_product_full(mv, pts[:, sides])
+    out = coef + terms(mv, pts[:, sides]).sum(axis=1)
     if rest > 0:
-        out += xlogy(rest, np.maximum(1.0 - pts[:, sides].sum(axis=1), 0.0))
+        out += terms(rest, np.maximum(1.0 - pts[:, sides].sum(axis=1), 0.0))
     return out
 
 
 class TestPowerKernel:
     def test_no_informative_column_skips_xlogy(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("xlogy called")
+        # No log is evaluated when every exponent is 0.
+        def fail(*args, **kwargs):
+            raise AssertionError("log evaluated")
 
-        monkeypatch.setattr(multinomial, "xlogy", fail)
         pts = nodes_with_zeros(3, 6, 20, seed=1)
+        monkeypatch.setattr(multinomial.np, "log", fail)
         np.testing.assert_array_equal(log_power(np.zeros(3), pts), np.zeros(pts.shape[0]))
+        view = AgentView.full(CountVector.of([0, 0, 0]))
+        np.testing.assert_array_equal(view_log_likelihood_nodes(view, pts),
+                                      np.zeros(pts.shape[0]))
+
+    @pytest.mark.parametrize("k", [3, 7, 16])
+    def test_kernel_matches_scipy_xlogy(self, k):
+        # numpy's log may differ from scipy's xlogy by an ulp on some inputs;
+        # the +-inf and nan pattern on zero coordinates must not differ at all.
+        rng = np.random.default_rng(100 + k)
+        pts = nodes_with_zeros(k, 5 if k > 4 else 12, 300, seed=k)
+        for e in (rng.choice([0.0, 1.0, 3.0], size=k), rng.choice([0.0, -0.5, 1.5, 7.0], size=k),
+                  np.resize([-0.5, 2.0], k)):
+            terms = xlogy(e, pts)
+            with np.errstate(invalid="ignore"):
+                got = log_power(e, pts)
+                ref = terms.sum(axis=1)
+            assert_row_sums_close(got, ref, terms)
+        assert np.isposinf(ref).any() and np.isneginf(ref).any()
+        counts = rng.multinomial(12, rng.dirichlet(np.ones(k)))
+        counts[0] = 0
+        views = [AgentView.full(CountVector.of(counts)),
+                 AgentView.from_mapping(k, int(counts.sum()) + 3, {1: 0, 2: int(counts[1])})]
+        for view in views:
+            got = view_log_likelihood_nodes(view, pts)
+            ref = full_column_view_loglik(view, pts, terms=xlogy)
+            finite = np.isfinite(ref)
+            assert not finite.all()
+            np.testing.assert_array_equal(got[~finite], ref[~finite])
+            np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-14)
 
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError, match="expected 3"):
@@ -224,7 +254,7 @@ class TestPowerKernel:
             else:
                 mv = np.asarray([c for _, c in view.visible], dtype=float)
                 sides = np.asarray(view.visible_sides) - 1
-                assert_row_sums_close(got, ref, xlogy(mv, pts[:, sides]))
+                assert_row_sums_close(got, ref, power_terms(mv, pts[:, sides]))
 
 
 class TestSimulateRolls:
