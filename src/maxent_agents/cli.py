@@ -14,6 +14,7 @@ output files stay byte-deterministic for fixed seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,6 +36,7 @@ from .engine import (
 from .fileio import (
     EngineSettings,
     ExperimentConfig,
+    as_field,
     load_config,
     parse_constraint_shorthand,
     read_counts,
@@ -65,6 +67,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxent-agents",
@@ -134,7 +137,7 @@ def _parse_view(text: str | None, counts: CountVector) -> AgentView:
         return AgentView.full(counts)
     if text.strip().lower() == "none":
         return AgentView.empty(counts.k, counts.n)
-    sides = [int(v) for v in text.split(",") if v.strip()]
+    sides = [as_field(v, "--view side") for v in text.split(",") if v.strip()]
     for s in sides:
         if not 1 <= s <= counts.k:
             raise ValueError(f"--view side {s} is out of range [1, {counts.k}]")
@@ -202,16 +205,14 @@ def cmd_network(args: argparse.Namespace) -> int:
     table = infer_all(net, counts, config.round, prior, constraint, engine)
     agents_payload = []
     iterations = []
-    entropies = {}  # model -> EntropyReport; agents sharing a fit share one model
+    bodies = {}  # model -> agent body; agents sharing a fit share one body
     for agent in range(1, net.k + 1):
         if agent in table.entries:
             entry = table.entries[agent]
-            if entry.model not in entropies:
-                entropies[entry.model] = me_entropy(entry.model)
-            payload = {"agent": agent}
-            payload.update(_agent_payload(entry.view, entry.model.solved,
-                                          entry.summary, entropies[entry.model]))
-            agents_payload.append(payload)
+            if entry.model not in bodies:
+                bodies[entry.model] = _agent_payload(entry.view, entry.model.solved,
+                                                     entry.summary, me_entropy(entry.model))
+            agents_payload.append({"agent": agent, **bodies[entry.model]})
             iterations.append(entry.model.solved.iterations)
         else:
             agents_payload.append({"agent": agent, "error": str(table.errors[agent])})

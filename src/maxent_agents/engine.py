@@ -38,14 +38,16 @@ from typing import Sequence
 import numpy as np
 
 from .multinomial import AgentView, log_power, view_log_likelihood_nodes
-from .simplex import NODE_BUDGET, NodeBudgetError, build_grid, sample_dirichlet
+from .simplex import (MARGINAL_BINS, MARGINAL_EDGES, NODE_BUDGET, NodeBudgetError, build_grid,
+                      marginal_bins, sample_dirichlet)
 
 SOLVER_TOL = 1e-9
 MAX_ITER = 200
 BETA_CAP = 2.0**16
 DEFAULT_RESOLUTION = {2: 960, 3: 240, 4: 60}  # the default engine's grid, by k
 DEFAULT_MC_SAMPLES = 200_000
-MARGINAL_BINS = 100
+BLOCK = 65_536  # np.histogram bins this many nodes per bincount
+MARGINAL_ABSCISSA = tuple(float(v) for v in 0.5 * (MARGINAL_EDGES[:-1] + MARGINAL_EDGES[1:]))
 
 
 class InfeasibleConstraintError(ValueError):
@@ -160,8 +162,8 @@ class SolvedConstraint:
 class GridEngine:
     """Deterministic lattice-quadrature backend (k <= 4 recommended).
 
-    The grid is built here, so an invalid or oversized resolution is refused
-    before any fit.
+    The grid is built (or fetched from the per-process cache) here, so an
+    invalid or oversized resolution is refused before any fit.
     """
 
     def __init__(self, k: int, resolution: int):
@@ -444,7 +446,7 @@ def posterior_summary(model: PosteriorModel) -> PosteriorSummary:
 
     Marginals are per-component density estimates on a fixed abscissa grid
     of bin centers over [0, 1] (bin mass divided by bin width), suitable
-    for plotting.
+    for plotting; bin masses equal `np.histogram`'s bit for bit.
     """
     fam = model.family
     w = fam.posterior_weights(model.beta)
@@ -456,19 +458,19 @@ def posterior_summary(model: PosteriorModel) -> PosteriorSummary:
     # because the normalizer is the same engine sum.
     log_vals = fam.a + model.beta * fam.f - model.log_norm
     normalization = float(np.sum(np.exp(log_vals)))
-    edges = np.linspace(0.0, 1.0, MARGINAL_BINS + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    grid = getattr(fam.engine, "grid", None)
+    bins = grid.bins if grid is not None and grid.nodes is fam.theta else marginal_bins(fam.theta)
     marginals = []
-    for i in range(fam.theta.shape[1]):
-        hist, _ = np.histogram(fam.theta[:, i], bins=MARGINAL_BINS, range=(0.0, 1.0),
-                               weights=w)
-        marginals.append(tuple(float(v) for v in hist * MARGINAL_BINS))
+    for side in bins:  # one bincount per np.histogram block, added in its order
+        mass = sum(np.bincount(side[i:i + BLOCK], w[i:i + BLOCK], MARGINAL_BINS)
+                   for i in range(0, w.size, BLOCK))
+        marginals.append(tuple((mass * MARGINAL_BINS).tolist()))
     return PosteriorSummary(
         means=tuple(float(v) for v in means),
         variances=tuple(float(v) for v in variances),
         expected_f=ef,
         normalization=normalization,
-        marginal_abscissa=tuple(float(v) for v in centers),
+        marginal_abscissa=MARGINAL_ABSCISSA,
         marginals=tuple(marginals),
     )
 

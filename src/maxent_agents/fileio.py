@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .engine import DEFAULT_MC_SAMPLES, DEFAULT_RESOLUTION, ConstraintSpec, GridEngine, McEngine
 from .multinomial import AgentView, CountVector
@@ -35,8 +36,32 @@ def _format_float(x: float) -> str:
     return s + ".0"
 
 
-def dumps_canonical(obj: Any, indent: int = 0) -> str:
-    """Deterministic JSON emitter; floats at 17 significant digits."""
+def as_field(value: Any, name: str, kind: Any = int):
+    """`value` as `kind`: int, float, or [kind] for a JSON list of them.  None (a
+    missing field), a bool, a value of another shape or that `kind` refuses, and
+    a non-integral number for an int raise a ValueError that names the field."""
+    if value is None:
+        raise ValueError(f"{name} is missing")
+    if isinstance(kind, list) and isinstance(value, list):
+        return [as_field(v, name, kind[0]) for v in value]
+    try:
+        out = None if isinstance(value, bool) or isinstance(kind, list) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (kind is int and out != value and not isinstance(value, str)):
+        what = "an integer" if kind is int else "a number" if kind is float else "a list"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return out
+
+
+def dumps_canonical(obj: Any, indent: int = 0, memo: dict | None = None) -> str:
+    """Deterministic JSON emitter; floats at 17 significant digits.  A list or
+    object held in several places of `obj` is formatted once per indent:
+    `memo` maps (id, indent) to its text for the length of one call."""
+    memo = {} if memo is None else memo
+    key = (id(obj), indent)
+    if key in memo:
+        return memo[key]
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -53,19 +78,19 @@ def dumps_canonical(obj: Any, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {dumps_canonical(v, indent + 1)}"
+            f"{inner}{json.dumps(str(k))}: {dumps_canonical(v, indent + 1, memo)}"
             for k, v in obj.items()
         )
-        return "{\n" + items + "\n" + pad + "}"
+        return memo.setdefault(key, "{\n" + items + "\n" + pad + "}")
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if all(type(v) is float for v in obj):
-            return "[" + ", ".join(map(_format_float, obj)) + "]"
+            return memo.setdefault(key, "[" + ", ".join(map(_format_float, obj)) + "]")
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
-        items = ",\n".join(f"{inner}{dumps_canonical(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+        items = ",\n".join(f"{inner}{dumps_canonical(v, indent + 1, memo)}" for v in obj)
+        return memo.setdefault(key, "[\n" + items + "\n" + pad + "]")
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -90,9 +115,9 @@ def parse_constraint_shorthand(text: str) -> ConstraintSpec | None:
         key, _, value = chunk.partition("=")
         key = key.strip()
         if key == "f":
-            f_part = [float(v) for v in value.split(",") if v.strip()]
+            f_part = [as_field(v, "constraint f", float) for v in value.split(",") if v.strip()]
         elif key == "F":
-            target_part = float(value)
+            target_part = as_field(value, "constraint F", float)
         else:
             raise ValueError(f"unknown constraint field {key!r} in {text!r}")
     if f_part is None or target_part is None:
@@ -134,16 +159,11 @@ class EngineSettings:
         return payload
 
     @classmethod
-    def from_payload(cls, payload: Mapping[str, Any] | None) -> "EngineSettings":
-        if payload is None:
-            return cls()
-        if not isinstance(payload, Mapping):
-            raise ValueError(f"config engine must be a JSON object, got {type(payload).__name__}")
-        return cls(
-            grid=int(payload["grid"]) if "grid" in payload else None,
-            mc_samples=int(payload["mc_samples"]) if "mc_samples" in payload else None,
-            mc_seed=int(payload.get("mc_seed", 0)),
-        )
+    def from_payload(cls, payload: Mapping[str, Any]) -> "EngineSettings":
+        grid, samples, seed = (as_field(payload[key], f"config engine.{key}")
+                               if key in payload else None
+                               for key in ("grid", "mc_samples", "mc_seed"))
+        return cls(grid=grid, mc_samples=samples, mc_seed=seed or 0)
 
 
 @dataclass(frozen=True)
@@ -179,63 +199,62 @@ class ExperimentConfig:
     def build_network(self) -> AgentNetwork:
         spec = self.network or {"preset": "complete"}
         preset = spec.get("preset", "explicit" if "edges" in spec else None)
+
+        def field(key: str, default: Any = None, kind: Any = int):
+            return as_field(spec.get(key, default), f"config network.{key}", kind)
+
         if preset == "complete":
-            return complete_network(int(spec.get("k", self.k)))
+            return complete_network(field("k", self.k))
         if preset == "triangle-lattice":
-            return triangle_lattice_network(int(spec["rows"]), int(spec["cols"]))
+            return triangle_lattice_network(field("rows"), field("cols"))
         if preset == "explicit":
-            edges = [(int(a), int(b)) for a, b in spec.get("edges", [])]
-            return explicit_network(int(spec.get("k", self.k)), edges)
+            return explicit_network(field("k", self.k), field("edges", [], [[int]]))
         raise ValueError(
             f"unknown network preset {preset!r}; use complete, triangle-lattice or explicit"
         )
 
     def to_payload(self) -> dict:
-        payload: dict[str, Any] = {
+        c, theta = self.constraint, self.theta_true
+        return {
             "k": self.k,
             "n": self.n,
             "seed": self.seed,
             "prior": [float(v) for v in self.prior],
+            "constraint": None if c is None else {"f": [float(v) for v in c.f], "F": float(c.F)},
+            "theta_true": None if theta is None else [float(v) for v in theta],
+            "network": self.network,
+            "round": self.round,
+            "engine": self.engine.to_payload(),
         }
-        payload["constraint"] = (
-            {"f": [float(v) for v in self.constraint.f], "F": float(self.constraint.F)}
-            if self.constraint is not None
-            else None
-        )
-        payload["theta_true"] = (
-            [float(v) for v in self.theta_true] if self.theta_true is not None else None
-        )
-        payload["network"] = self.network
-        payload["round"] = self.round
-        payload["engine"] = self.engine.to_payload()
-        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "ExperimentConfig":
         if not isinstance(payload, Mapping):
             raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
-        network = payload.get("network")
-        if network is not None and not isinstance(network, Mapping):
-            raise ValueError(f"config network must be a JSON object, got {type(network).__name__}")
-        constraint = None
-        if payload.get("constraint") is not None:
-            c = payload["constraint"]
-            constraint = ConstraintSpec.of(c["f"], c["F"])
-        theta_true = (
-            tuple(float(v) for v in payload["theta_true"])
-            if payload.get("theta_true") is not None
-            else None
-        )
+        for section in ("constraint", "engine", "network"):
+            value = payload.get(section)
+            if value is not None and not isinstance(value, Mapping):
+                got = type(value).__name__
+                raise ValueError(f"config {section} must be a JSON object, got {got}")
+
+        def field(key: str, default: Any = None, kind: Any = int):
+            *section, leaf = key.split(".")
+            owner = payload[section[0]] if section else payload
+            return as_field(owner.get(leaf, default), f"config {key}", kind)
+
+        c, network, theta = (payload.get(key) for key in ("constraint", "network", "theta_true"))
+        k = field("k")
         return cls(
-            k=int(payload["k"]),
-            n=int(payload["n"]),
-            seed=int(payload.get("seed", 0)),
-            prior=tuple(float(v) for v in payload.get("prior", [1.0] * int(payload["k"]))),
-            constraint=constraint,
-            theta_true=theta_true,
+            k=k,
+            n=field("n"),
+            seed=field("seed", 0),
+            prior=tuple(field("prior", [1.0] * k, [float])),
+            constraint=None if c is None else ConstraintSpec.of(
+                field("constraint.f", kind=[float]), field("constraint.F", kind=float)),
+            theta_true=None if theta is None else tuple(field("theta_true", kind=[float])),
             network=dict(network) if network else None,
-            round=int(payload.get("round", 0)),
-            engine=EngineSettings.from_payload(payload.get("engine")),
+            round=field("round", 0),
+            engine=EngineSettings.from_payload(payload.get("engine") or {}),
         )
 
 
@@ -258,11 +277,15 @@ def write_counts(path: str | Path, counts: CountVector, seed: int,
 
 def read_counts(path: str | Path) -> CountVector:
     payload = read_payload(path)
-    counts = CountVector.of(payload["counts"])
-    if counts.k != int(payload["k"]):
-        raise ValueError(f"counts file k={payload['k']} does not match {counts.k} entries")
-    if counts.n != int(payload["n"]):
-        raise ValueError(f"counts file n={payload['n']} but counts sum to {counts.n}")
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"counts file must be a JSON object, got {type(payload).__name__}")
+    k, n, entries = (as_field(payload.get(key), f"counts file {key}", kind)
+                     for key, kind in (("k", int), ("n", int), ("counts", [int])))
+    counts = CountVector(tuple(entries))
+    if counts.k != k:
+        raise ValueError(f"counts file k={k} does not match {counts.k} entries")
+    if counts.n != n:
+        raise ValueError(f"counts file n={n} but counts sum to {counts.n}")
     return counts
 
 
@@ -271,11 +294,6 @@ def view_to_payload(view: AgentView) -> dict:
 
 
 def write_sweep_csv(path: str | Path, rows: Sequence[Mapping[str, float]]) -> None:
-    lines = ["beta,log_zeta,expected_f,s_me"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _format_float(row[col]) for col in ("beta", "log_zeta", "expected_f", "s_me")
-            )
-        )
+    cols = ("beta", "log_zeta", "expected_f", "s_me")
+    lines = [",".join(cols)] + [",".join(_format_float(row[c]) for c in cols) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

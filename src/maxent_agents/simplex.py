@@ -23,12 +23,13 @@ permutations, and weight normalization is exact by construction.  A grid
 of more than NODE_BUDGET nodes is refused.  Every draw, for the Monte-Carlo
 engine and the simulator alike, comes from one fixed generator per seed.
 
-Everything here is a pure function of its inputs and every returned value
-is immutable after construction, so grids and draws are safe to share
-across threads.
+Everything here is a pure function of its inputs.  A grid is built once per
+(k, r) and kept (the last GRID_CACHE_SIZE per process) with read-only arrays,
+so writing to one raises; draws are fresh arrays on every call.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -37,6 +38,9 @@ import numpy as np
 
 THETA_SUM_TOL = 1e-12
 NODE_BUDGET = 10**6
+GRID_CACHE_SIZE = 4
+MARGINAL_BINS = 100
+MARGINAL_EDGES = np.linspace(0.0, 1.0, MARGINAL_BINS + 1)
 
 
 class NodeBudgetError(ValueError):
@@ -102,20 +106,33 @@ def lattice_scale(k: int, r: int) -> tuple[float, float]:
 @dataclass(frozen=True, eq=False)
 class SimplexGrid:
     """Equal-weight quadrature rule over the simplex: each of the
-    (node_count, k) interior `nodes` carries weight 1 / node_count.
-    """
+    (node_count, k) interior `nodes` carries weight 1 / node_count; `bins`
+    is their `marginal_bins` table."""
 
     k: int
     resolution: int
     nodes: np.ndarray
+    bins: np.ndarray
 
     @property
     def node_count(self) -> int:
         return self.nodes.shape[0]
 
 
+def marginal_bins(nodes: np.ndarray) -> np.ndarray:
+    """(k, N) uint8 marginal bin of each coordinate of (N, k) `nodes` in [0, 1]
+    by `np.histogram`'s rule (edge i <= theta < edge i + 1; 1.0 in the last bin),
+    which is about 6x faster than a binary search of the edges on random draws."""
+    theta = nodes.T
+    bins = np.minimum((theta * MARGINAL_BINS).astype(np.intp), MARGINAL_BINS - 1)
+    bins -= theta < MARGINAL_EDGES[bins]
+    bins += (theta >= MARGINAL_EDGES[bins + 1]) & (bins < MARGINAL_BINS - 1)
+    return bins.astype(np.uint8)
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def build_grid(k: int, r: int) -> SimplexGrid:
-    """Build the deterministic simplex grid at resolution r.
+    """The deterministic simplex grid at resolution r, cached per (k, r).
 
     Parameters
     ----------
@@ -141,7 +158,9 @@ def build_grid(k: int, r: int) -> SimplexGrid:
     counts = compositions(r, k)
     D, s = lattice_scale(k, r)
     nodes = (counts + s) / D
-    return SimplexGrid(k=k, resolution=r, nodes=nodes)
+    bins = marginal_bins(nodes)
+    nodes.flags.writeable = bins.flags.writeable = False
+    return SimplexGrid(k=k, resolution=r, nodes=nodes, bins=bins)
 
 
 def dirichlet_sampler(seed: int) -> np.random.Generator:

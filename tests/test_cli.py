@@ -1,4 +1,5 @@
 """Command-line interface and file-format tests."""
+import copy
 import json
 import math
 import os
@@ -44,6 +45,36 @@ CONFIG = {
     "round": 1,
     "engine": {"grid": 60},
 }
+
+
+COUNTS = {"k": 3, "n": 10, "counts": [5, 3, 2], "seed": 7}
+
+# (name in the error, config overrides, path to an integral field in the
+# {"config": ..., "counts": ...} inputs)
+INT_FIELDS = [
+    pytest.param("config k", {}, ("config", "k"), id="k"),
+    pytest.param("config n", {}, ("config", "n"), id="n"),
+    pytest.param("config seed", {}, ("config", "seed"), id="seed"),
+    pytest.param("config round", {}, ("config", "round"), id="round"),
+    pytest.param("config engine.grid", {}, ("config", "engine", "grid"), id="grid"),
+    pytest.param("config engine.mc_samples", {"engine": {"mc_samples": 1000}},
+                 ("config", "engine", "mc_samples"), id="mc_samples"),
+    pytest.param("config engine.mc_seed", {"engine": {"mc_samples": 1000, "mc_seed": 1}},
+                 ("config", "engine", "mc_seed"), id="mc_seed"),
+    pytest.param("config network.k", {"network": {"preset": "complete", "k": 3}},
+                 ("config", "network", "k"), id="network-k"),
+    pytest.param("config network.rows",
+                 {"network": {"preset": "triangle-lattice", "rows": 1, "cols": 3}},
+                 ("config", "network", "rows"), id="network-rows"),
+    pytest.param("config network.cols",
+                 {"network": {"preset": "triangle-lattice", "rows": 1, "cols": 3}},
+                 ("config", "network", "cols"), id="network-cols"),
+    pytest.param("config network.edges", {"network": {"edges": [[1, 2], [2, 3]]}},
+                 ("config", "network", "edges", 0, 1), id="network-edges"),
+    pytest.param("counts file k", {}, ("counts", "k"), id="counts-k"),
+    pytest.param("counts file n", {}, ("counts", "n"), id="counts-n"),
+    pytest.param("counts file counts", {}, ("counts", "counts", 0), id="counts-entry"),
+]
 
 
 def write_config(path, **overrides):
@@ -371,6 +402,48 @@ class TestInputChecks:
         assert code == 4
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("bad", ["fraction", "bool"])
+    @pytest.mark.parametrize("named, overrides, path", INT_FIELDS)
+    def test_integer_field_refuses_non_integer(self, tmp_path, capsys, named, overrides,
+                                                path, bad):
+        # 1.5 used to run as 1, and true as 1.
+        inputs = copy.deepcopy({"config": {**CONFIG, "engine": {"grid": 30}, **overrides},
+                                "counts": COUNTS})
+        *parents, leaf = path
+        owner = inputs
+        for key in parents:
+            owner = owner[key]
+        owner[leaf] = owner[leaf] + 0.5 if bad == "fraction" else True
+        for name, payload in inputs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        out = tmp_path / "x"
+        code = main(["network", "--config", str(tmp_path / "config.json"),
+                     "--counts", str(tmp_path / "counts.json"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4 and not out.exists()
+        assert err.startswith(f"error: {named} must be an integer, got ")
+
+    @pytest.mark.parametrize("config, counts, extra, named", [
+        pytest.param({"round": "x"}, COUNTS, [], "config round must be an integer, got 'x'",
+                     id="string-round"),
+        pytest.param({"network": {"preset": "triangle-lattice", "cols": 3}}, COUNTS, [],
+                     "config network.rows is missing", id="lattice-without-rows"),
+        pytest.param({"constraint": {"f": [1.0, 0.0, -2.0]}}, COUNTS, [],
+                     "config constraint.F is missing", id="constraint-without-F"),
+        pytest.param({}, {"n": 10, "counts": [5, 3, 2]}, [], "counts file k is missing",
+                     id="counts-without-k"),
+        pytest.param({}, COUNTS, ["--view", "a"], "--view side must be an integer, got 'a'",
+                     id="view-letter"),
+    ])
+    def test_input_error_names_its_field(self, tmp_path, capsys, config, counts, extra, named):
+        write_config(tmp_path / "c.json", engine={"grid": 30}, **config)
+        write_payload(tmp_path / "counts.json", counts)
+        out = tmp_path / "x"
+        code = main(["infer" if extra else "network", "--config", str(tmp_path / "c.json"),
+                     "--counts", str(tmp_path / "counts.json"), "--out", str(out), *extra])
+        assert code == 4 and not out.exists()
+        assert capsys.readouterr().err == f"error: {named}\n"
+
     @pytest.mark.parametrize("command", ["infer", "network", "sweep-beta"])
     def test_counts_n_mismatch(self, tmp_path, capsys, command):
         config = write_config(tmp_path / "c.json", n=40)
@@ -461,6 +534,29 @@ class TestNetworkCmd:
         main(["network", "--config", str(config), "--counts", str(counts), "--out", str(out1)])
         main(["network", "--config", str(config), "--counts", str(counts), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_warm_requests_match_fresh_interpreters(self, tmp_path):
+        # Grids and the parser are kept per process and agents sharing a fit
+        # share one serialized body: every output of one interpreter that
+        # alternates grids and commands must equal a fresh interpreter's.
+        config = write_config(tmp_path / "c.json", engine={"grid": 60})
+        common = ["--config", str(config), "--counts", str(self._counts(tmp_path))]
+        runs = [
+            ["network", "--grid", "30"],
+            ["infer", "--grid", "240", "--view", "1"],
+            ["network", "--grid", "240", "--round", "0"],
+            ["infer", "--grid", "30", "--view", "all"],
+            ["network", "--grid", "240"],
+            ["infer", "--grid", "240", "--view", "all"],
+            ["network", "--grid", "30", "--round", "0"],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        for i, argv in enumerate(runs):
+            warm, cold = tmp_path / f"warm{i}.json", tmp_path / f"cold{i}.json"
+            assert main([*argv, *common, "--out", str(warm)]) == 0
+            subprocess.run([sys.executable, "-m", "maxent_agents.cli", *argv, *common,
+                            "--out", str(cold)], env=env, capture_output=True, check=True)
+            assert warm.read_bytes() == cold.read_bytes(), argv
 
     @pytest.mark.parametrize("round_, calls", [(1, 1), (0, 3)])
     def test_one_entropy_per_shared_model(self, tmp_path, monkeypatch, round_, calls):

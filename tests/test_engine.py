@@ -22,7 +22,8 @@ from maxent_agents import (
     posterior_summary,
     solve_beta,
 )
-from maxent_agents.engine import BETA_CAP, EngineRangeError, _TiltedFamily
+from maxent_agents import engine as engine_module
+from maxent_agents.engine import BETA_CAP, MARGINAL_BINS, EngineRangeError, _TiltedFamily
 from maxent_agents.simplex import NODE_BUDGET, NodeBudgetError
 
 from oracles import (
@@ -437,3 +438,59 @@ class TestMcEngineEndToEnd:
         one = posterior_summary(posterior(solve_beta(prior, view, spec, McEngine(k, 20_000, 5))))
         two = posterior_summary(posterior(solve_beta(prior, view, spec, McEngine(k, 20_000, 5))))
         assert one == two
+
+
+def histogram_marginals(model):
+    """np.histogram's marginal tables for a model, scaled to densities."""
+    fam = model.family
+    w = fam.posterior_weights(model.beta)
+    return tuple(
+        tuple(np.histogram(fam.theta[:, i], bins=MARGINAL_BINS, range=(0.0, 1.0),
+                           weights=w)[0] * MARGINAL_BINS)
+        for i in range(fam.theta.shape[1])
+    )
+
+
+class TestMarginals:
+    """Marginal tables are bincounts over a bin table; they must equal
+    np.histogram bit for bit, on grids, past its 65,536-node block, and for
+    coordinates exactly on bin edges or at 1.0."""
+
+    @pytest.mark.parametrize("k, r", [(2, 960), (3, 240), (4, 60), (16, 5)])
+    def test_grid_matches_histogram(self, k, r, monkeypatch):
+        view = AgentView.from_mapping(k, 4 if k == 2 else 6, {1: 3, 2: 1})
+        f = [1.0] + [0.0] * (k - 2) + [-2.0]
+        model = posterior(solve_beta(PriorSpec.flat(k), view, ConstraintSpec.of(f, 0.0),
+                                     GridEngine(k, r)))
+
+        def no_binning(nodes):
+            raise AssertionError("a grid's nodes were binned again")
+
+        monkeypatch.setattr(engine_module, "marginal_bins", no_binning)
+        assert posterior_summary(model).marginals == histogram_marginals(model)
+
+    def test_mc_basis_past_one_histogram_block(self):
+        engine = McEngine(3, 200_000, seed=0)  # > 65,536 samples: 4 blocks
+        model = posterior(solve_beta(FLAT3, AgentView.full(CountVector.of([5, 3, 2])),
+                                     BIAS, engine))
+        assert posterior_summary(model).marginals == histogram_marginals(model)
+
+    def test_coordinates_on_bin_edges_and_at_one(self):
+        edges = np.linspace(0.0, 1.0, MARGINAL_BINS + 1)
+        x = np.concatenate([
+            edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0),
+            np.random.default_rng(5).uniform(size=2_000),
+        ])
+        x = x[(x >= 0.0) & (x <= 1.0)]
+        nodes = np.column_stack([x, 1.0 - x])
+
+        class FixedNodes:
+            k = 2
+
+            def basis(self, prior, view):
+                logw = np.log(np.random.default_rng(6).uniform(0.5, 1.5, size=x.size))
+                return nodes, logw - np.log(np.exp(logw).sum())
+
+        model = bayes_posterior(PriorSpec.flat(2), AgentView.empty(2, 0), FixedNodes())
+        assert {0.0, 1.0} <= set(x.tolist())
+        assert posterior_summary(model).marginals == histogram_marginals(model)

@@ -87,6 +87,18 @@ class TestBuildGrid:
         a, b = build_grid(3, 17), build_grid(3, 17)
         assert np.array_equal(a.nodes, b.nodes)
 
+    def test_built_once_and_read_only(self):
+        grid = build_grid(3, 17)
+        assert build_grid(3, 17) is grid
+        assert GridEngine(3, 17).grid is grid
+        assert grid.bins.shape == (3, grid.node_count) and grid.bins.dtype == np.uint8
+        for table in (grid.nodes, grid.bins):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                table += 1
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             build_grid(1, 5)
