@@ -18,7 +18,8 @@ and tilt expectations are ratios of sums sharing one set of nodes.  All
 densities are handled in log space; the beta-independent part of the
 log-integrand is computed once per (prior, view, engine), reused across
 every beta the solver visits, and kept on the fitted SolvedConstraint, which
-is the only input `posterior` takes.
+is the only input `posterior` takes.  Each beta costs one exp pass over the
+nodes, giving the weights and log zeta; the solve keeps its last pass.
 
 With no data the result is the exponentially tilted prior (pure moment
 matching); with beta = 0 it is the conjugate Dirichlet update.  The
@@ -89,17 +90,17 @@ class PriorSpec:
     def k(self) -> int:
         return len(self.dirichlet_params)
 
-    def log_rel_density(self, nodes: np.ndarray) -> np.ndarray:
-        """log density relative to the flat Dirichlet reference, vectorized.
+    def log_rel_density(self, log_nodes: np.ndarray) -> np.ndarray:
+        """log density relative to the flat Dirichlet reference, from the nodes' log columns.
 
         The power product prod_i theta_i^{alpha_i - 1} goes through
         `log_power`: sides with alpha_i = 1 are skipped, so a flat prior is
-        its constant (0) everywhere without a log evaluation.  The others
-        give +inf (alpha < 1) or -inf (alpha > 1) on faces.
+        its constant (0) everywhere.  The others give +inf (alpha < 1) or
+        -inf (alpha > 1) on faces.
         """
         alpha = np.asarray(self.dirichlet_params)
         const = math.lgamma(alpha.sum()) - sum(map(math.lgamma, alpha)) - math.lgamma(self.k)
-        return const + log_power(alpha - 1.0, nodes)
+        return const + log_power(alpha - 1.0, log_nodes)
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,8 @@ class ConstraintSpec:
 class SolvedConstraint:
     """A fitted multiplier: beta, the log normalizer, and the residual,
     with the tilted family it was fitted on (prior, view, constraint and
-    engine), from which `posterior` builds the model.
+    engine), from which `posterior` builds the model, and the read-only
+    normalized node weights of the pass that gave log_zeta.
     """
 
     spec: ConstraintSpec
@@ -150,6 +152,7 @@ class SolvedConstraint:
     residual: float
     tol: float
     family: _TiltedFamily = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
     iterations: int = 0
 
     def __post_init__(self) -> None:
@@ -171,11 +174,10 @@ class GridEngine:
         self.resolution = resolution
         self.grid = build_grid(k, resolution)
 
-    def basis(self, prior: PriorSpec, view: AgentView) -> tuple[np.ndarray, np.ndarray]:
-        """Return (theta nodes, log reference weights)."""
+    def basis(self, prior: PriorSpec, view: AgentView) -> tuple[np.ndarray, ...]:
+        """Return (theta nodes, their (k, N) log columns, log reference weights)."""
         g = self.grid
-        logw = np.full(g.node_count, -np.log(g.node_count))
-        return g.nodes, logw
+        return g.nodes, g.log_nodes, g.log_weights
 
     def descriptor(self) -> dict:
         return {"grid": self.resolution}
@@ -214,13 +216,14 @@ class McEngine:
             params[hidden] += rest * alpha[hidden] / alpha[hidden].sum()
         return params
 
-    def basis(self, prior: PriorSpec, view: AgentView) -> tuple[np.ndarray, np.ndarray]:
+    def basis(self, prior: PriorSpec, view: AgentView) -> tuple[np.ndarray, ...]:
         params = self.proposal_params(prior, view)
         theta = sample_dirichlet(params, self.samples, self.seed)
         const = math.lgamma(params.sum()) - sum(map(math.lgamma, params)) - math.lgamma(self.k)
-        log_proposal_rel = const + np.log(theta) @ (params - 1.0)
+        log_theta = np.log(theta)
+        log_proposal_rel = const + log_theta @ (params - 1.0)
         logw = -np.log(self.samples) - log_proposal_rel
-        return theta, logw
+        return theta, np.ascontiguousarray(log_theta.T), logw
 
     def descriptor(self) -> dict:
         return {"mc_samples": self.samples, "mc_seed": self.seed}
@@ -246,9 +249,10 @@ class _TiltedFamily:
                 f"constraint k={spec.k}, engine k={engine.k}"
             )
         self.prior, self.view, self.spec, self.engine = prior, view, spec, engine
-        theta, logw = engine.basis(prior, view)
-        self.theta = theta
-        self.a = logw + prior.log_rel_density(theta) + view_log_likelihood_nodes(view, theta)
+        theta, log_theta, logw = engine.basis(prior, view)
+        self.theta, self.log_theta = theta, log_theta
+        self.a = (logw + prior.log_rel_density(log_theta)
+                  + view_log_likelihood_nodes(view, theta, log_theta))
         if not np.all(np.isfinite(self.a)):
             j = int(np.flatnonzero(~np.isfinite(self.a))[0])
             raise ValueError(
@@ -257,31 +261,42 @@ class _TiltedFamily:
             )
         self.f = spec.f_values(theta)
 
-    def log_zeta(self, beta: float) -> float:
-        t = self.a + beta * self.f
+    def tilt(self, beta: float) -> tuple[np.ndarray, float]:
+        """(read-only normalized posterior weights, log zeta) at beta, from one
+        exp pass: s = sum_j exp(a_j + beta f_j - m) with m the largest
+        exponent gives the weights exp(...) / s and log zeta = m + log s."""
+        t = np.multiply(self.f, beta)
+        t += self.a
         m = t.max()
-        return float(m + np.log(np.sum(np.exp(t - m))))
+        t -= m
+        np.exp(t, out=t)
+        s = t.sum()
+        t /= s
+        t.flags.writeable = False
+        return t, float(m + np.log(s))
 
     def posterior_weights(self, beta: float) -> np.ndarray:
-        t = self.a + beta * self.f
-        w = np.exp(t - t.max())
-        return w / w.sum()
+        return self.tilt(beta)[0]
+
+    def log_zeta(self, beta: float) -> float:
+        return self.tilt(beta)[1]
 
     def expected_f(self, beta: float) -> float:
-        return float(self.posterior_weights(beta) @ self.f)
+        return float(self.tilt(beta)[0] @ self.f)
 
-    def moments_f(self, beta: float) -> tuple[float, float]:
-        """(<f>, Var f) under the beta-tilted posterior, from one weights pass."""
-        w = self.posterior_weights(beta)
+    def moments_f(self, w: np.ndarray) -> tuple[float, float]:
+        """(<f>, Var f) under the normalized node weights w."""
         mean = float(w @ self.f)
         dev = self.f - mean
         return mean, float(w @ (dev * dev))
 
-    def log_density(self, beta: float, log_zeta: float, points: np.ndarray) -> np.ndarray:
-        """log posterior density (relative to the flat reference) at an (N, k) array of points."""
+    def log_density(self, beta: float, log_zeta: float, points: np.ndarray,
+                    log_points: np.ndarray) -> np.ndarray:
+        """log posterior density (relative to the flat reference) at an (N, k)
+        array of points, given their (k, N) log columns."""
         return (
-            self.prior.log_rel_density(points)
-            + view_log_likelihood_nodes(self.view, points)
+            self.prior.log_rel_density(log_points)
+            + view_log_likelihood_nodes(self.view, points, log_points)
             + self.spec.f_values(points) * beta
             - log_zeta
         )
@@ -295,7 +310,7 @@ def tilt_table(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
     prior_rel * view_likelihood * e^{beta f}; <f> is the beta-tilted mean.
     """
     fam = _TiltedFamily(prior, view, constraint, engine)
-    return [(fam.log_zeta(beta), fam.expected_f(beta)) for beta in betas]
+    return [(log_zeta, float(w @ fam.f)) for w, log_zeta in map(fam.tilt, betas)]
 
 
 def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
@@ -307,9 +322,9 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
     beta = 0 (within SOLVER_TOL) the solve returns beta = 0 exactly.
     Otherwise it takes safeguarded Newton steps from beta = 0 on
     <f>_beta - F, measured as a logit within the range of f over the
-    engine's nodes, with slope from Var_beta f; <f> and Var f come from one
-    weights pass.  Every evaluated beta tightens a sign bracket [lo, hi].  A
-    Newton step is taken only when it lands strictly inside the bracket;
+    engine's nodes, with slope from Var_beta f; <f>, Var f and log zeta come
+    from one weights pass.  Every evaluated beta tightens a sign bracket
+    [lo, hi].  A Newton step is taken only when it lands strictly inside the bracket;
     otherwise the bracket is bisected, or, while one side is still open, the
     step is capped at max(1, 2|beta|) and |beta| at 2^16.  The solve stops
     when |<f> - F| <= SOLVER_TOL; a bracket narrower than 1e-12 or MAX_ITER
@@ -317,9 +332,10 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
     evaluation cap are fixed module constants.  A target outside the range
     of f over the nodes is an EngineRangeError, raised after the beta = 0
     check and before any step.  `iterations` counts the tilted-family
-    evaluations after the beta = 0 check.  The fitted family
-    is kept on the result, so `posterior(solved)` needs no other input and
-    does not build it again.
+    evaluations after the beta = 0 check.  The fitted family and the
+    weights of the last pass are kept on the result, so `posterior(solved)`
+    needs no other input and neither builds the family nor weighs the
+    nodes again.
     """
     lo_f, hi_f = constraint.attainable_interval()
     if constraint.is_constant:
@@ -347,7 +363,8 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
         return math.log((x - a) / (b - x))
 
     beta = 0.0
-    e, var = fam.moments_f(beta)
+    w, log_zeta = fam.tilt(beta)
+    e, var = fam.moments_f(w)
     resid = abs(e - F)
     if resid > SOLVER_TOL and not a < F < b:
         raise EngineRangeError(
@@ -388,20 +405,23 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
                 )
             nxt = math.copysign(BETA_CAP, nxt)
         beta = nxt
-        e, var = fam.moments_f(beta)
+        w, log_zeta = fam.tilt(beta)
+        e, var = fam.moments_f(w)
         resid = abs(e - F)
         iters += 1
     return SolvedConstraint(
-        spec=constraint, beta=beta, log_zeta=fam.log_zeta(beta),
-        residual=resid, tol=SOLVER_TOL, family=fam, iterations=iters,
+        spec=constraint, beta=beta, log_zeta=log_zeta, residual=resid, tol=SOLVER_TOL,
+        family=fam, weights=w, iterations=iters,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class PosteriorModel:
-    """Normalized posterior density over theta (relative to the flat reference)."""
+    """Normalized posterior density over theta (relative to the flat reference);
+    `node_mass` is exp(a + beta f - log zeta), its engine mass on each node."""
 
     solved: SolvedConstraint
+    node_mass: np.ndarray = field(repr=False)
 
     @property
     def family(self) -> _TiltedFamily:
@@ -415,8 +435,8 @@ class PosteriorModel:
     def log_norm(self) -> float:
         return self.solved.log_zeta
 
-    def log_density_at(self, points: np.ndarray) -> np.ndarray:
-        return self.family.log_density(self.beta, self.log_norm, points)
+    def log_density_at(self, points: np.ndarray, log_points: np.ndarray) -> np.ndarray:
+        return self.family.log_density(self.beta, self.log_norm, points, log_points)
 
 
 def posterior(solved: SolvedConstraint) -> PosteriorModel:
@@ -424,9 +444,13 @@ def posterior(solved: SolvedConstraint) -> PosteriorModel:
 
     Prior, view, constraint and engine are those of the tilted family the
     solve fitted on; the model wraps that family.  For a posterior without
-    a moment constraint, solve `ConstraintSpec.none(k)` (beta = 0).
+    a moment constraint, solve `ConstraintSpec.none(k)` (beta = 0).  The
+    node masses exp(a + beta f - log zeta) are evaluated here, once.
     """
-    return PosteriorModel(solved=solved)
+    fam = solved.family
+    mass = np.exp(fam.a + solved.beta * fam.f - solved.log_zeta)
+    mass.flags.writeable = False
+    return PosteriorModel(solved=solved, node_mass=mass)
 
 
 @dataclass(frozen=True)
@@ -449,15 +473,14 @@ def posterior_summary(model: PosteriorModel) -> PosteriorSummary:
     for plotting; bin masses equal `np.histogram`'s bit for bit.
     """
     fam = model.family
-    w = fam.posterior_weights(model.beta)
+    w = model.solved.weights
     means = fam.theta.T @ w
     second = (fam.theta**2).T @ w
     variances = np.maximum(second - means**2, 0.0)
     ef = float(w @ fam.f)
     # Engine expectation of the normalized density; exactly 1 up to roundoff
     # because the normalizer is the same engine sum.
-    log_vals = fam.a + model.beta * fam.f - model.log_norm
-    normalization = float(np.sum(np.exp(log_vals)))
+    normalization = float(np.sum(model.node_mass))
     grid = getattr(fam.engine, "grid", None)
     bins = grid.bins if grid is not None and grid.nodes is fam.theta else marginal_bins(fam.theta)
     marginals = []
@@ -487,7 +510,8 @@ class EntropyReport:
     def __post_init__(self) -> None:
         # Non-positive up to engine roundoff; it is a negated divergence.
         if self.s_me > 1e-9:
-            raise ValueError(f"s_me must be <= 0, got {self.s_me!r}")
+            raise ConvergenceError(f"s_me = {self.s_me!r} > 0, but a maximized relative "
+                                   "entropy is <= 0: the engine's quadrature is unreliable")
 
 
 def me_entropy(model: PosteriorModel) -> EntropyReport:
@@ -501,8 +525,7 @@ def me_entropy(model: PosteriorModel) -> EntropyReport:
     beta, F = model.beta, model.solved.spec.F
     s_me = model.log_norm - beta * F
     log_p_over_ref = beta * fam.f - model.log_norm
-    weighted_p = np.exp(fam.a + beta * fam.f - model.log_norm)
-    direct = -float(weighted_p @ log_p_over_ref)
+    direct = -float(model.node_mass @ log_p_over_ref)
     if abs(s_me - direct) > 1e-6:
         raise ConvergenceError(
             f"entropy identity violated: log_zeta - beta*F = {s_me!r} but the "

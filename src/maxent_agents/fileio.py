@@ -5,7 +5,8 @@ their insertion order, numeric fields are printed with 17 significant
 digits (which round-trips IEEE doubles exactly), and files end with a
 newline.  Given the same inputs and seeds, output files are therefore
 byte-identical across runs and platforms with the same floating-point
-environment.
+environment, which includes the BLAS thread count: weighted sums go
+through BLAS dot products, whose last digits can depend on it.
 
 Counts files have the fixed schema {k, n, counts: [...], seed,
 theta_true (optional)}.  Sweep tables are comma-separated with a header

@@ -14,10 +14,10 @@ nodes.  Enumeration of hidden completions is never used outside test
 oracles.
 
 Both this likelihood and the Dirichlet prior are power products
-prod_i theta_i^{e_i}; `log_power` evaluates their log over an array of
-nodes.  A zero exponent contributes exactly 0 in log space, so its column
-is skipped (so 0 * log 0 never arises); through numpy's log, a positive
-exponent on a zero coordinate gives -inf and a negative one +inf.
+prod_i theta_i^{e_i}; `log_power` evaluates their log from the (k, N) log
+columns of a node set.  A zero exponent contributes exactly 0 in log space,
+so its column is skipped (so 0 * log 0 never arises); a positive exponent
+on a zero coordinate gives -inf and a negative one +inf.
 """
 from __future__ import annotations
 
@@ -120,32 +120,37 @@ class AgentView:
         return int(sum(c for _, c in self.visible))
 
 
-def log_power(exponents, nodes: np.ndarray) -> np.ndarray:
-    """log prod_i theta_i^{e_i} at each row of `nodes`, as e_i log theta_i over e_i != 0.
+def log_power(exponents, log_nodes: np.ndarray) -> np.ndarray:
+    """log prod_i theta_i^{e_i} at each node, as e_i log theta_i over e_i != 0.
 
-    Skipped columns would add exact 0.0 terms, so with fewer than 8 columns
-    the result equals the full-row sum bit for bit (numpy adds such rows
-    left to right).
+    `log_nodes` is the (k, N) table of log theta_i; the kept terms are added
+    left to right, one contiguous row at a time, as numpy sums a row of
+    fewer than 8 terms, so the result equals `(e * log theta).sum(axis=1)`
+    bit for bit there (numpy may sum longer rows pairwise, a few ulps off).
     """
     e = np.asarray(exponents, dtype=float)
-    if nodes.shape[1] != e.size:
-        raise ValueError(f"nodes have {nodes.shape[1]} components, expected {e.size}")
+    if log_nodes.shape[0] != e.size:
+        raise ValueError(f"nodes have {log_nodes.shape[0]} components, expected {e.size}")
     cols = np.flatnonzero(e)
     if cols.size == 0:
-        return np.zeros(nodes.shape[0])
-    with np.errstate(divide="ignore"):
-        return (e[cols] * np.log(nodes[:, cols])).sum(axis=1)
+        return np.zeros(log_nodes.shape[1])
+    out = e[cols[0]] * log_nodes[cols[0]]
+    for i in cols[1:]:
+        out += e[i] * log_nodes[i]
+    return out
 
 
-def view_log_likelihood_nodes(view: AgentView, nodes: np.ndarray) -> np.ndarray:
-    """log probability of the visible counts at each row of an (N, k) array.
+def view_log_likelihood_nodes(view: AgentView, nodes: np.ndarray,
+                              log_nodes: np.ndarray) -> np.ndarray:
+    """log probability of the visible counts at each row of an (N, k) array,
+    whose (k, N) log columns are `log_nodes`.
 
     The hidden counts are summed out in the closed aggregated form of the
     module docstring; for a full view this is the multinomial pmf, and an
     empty view carries no information (0 everywhere).  A zero theta under
     a positive count gives -inf.  Zero visible counts drop out of the
-    product term (bit for bit, with fewer than 8 visible sides); the rest
-    term still sums theta over every visible side.
+    product term (see `log_power`); the rest term still sums theta over
+    every visible side.
     """
     if nodes.shape[1] != view.k:
         raise ValueError(f"nodes have {nodes.shape[1]} components, expected {view.k}")
@@ -162,7 +167,7 @@ def view_log_likelihood_nodes(view: AgentView, nodes: np.ndarray) -> np.ndarray:
     )
     exponents = np.zeros(view.k)
     exponents[sides] = mv
-    out += log_power(exponents, nodes)
+    out += log_power(exponents, log_nodes)
     if rest_count > 0:
         rest = np.maximum(1.0 - nodes[:, sides].sum(axis=1), 0.0)
         with np.errstate(divide="ignore"):

@@ -192,8 +192,9 @@ def belief_divergence(table: BeliefTable, a: int, b: int) -> float:
     """Symmetrized relative entropy between two agents' posteriors.
 
     KL(p_a || p_b) + KL(p_b || p_a), each term evaluated under the nodes of
-    the model whose expectation it is; >= 0, and 0 exactly when the two
-    densities coincide on all nodes; agents sharing one fit get 0.0 at once.
+    the model whose expectation it is (its kept weights and log columns);
+    >= 0, and 0 exactly when the two densities coincide on all nodes;
+    agents sharing one fit get 0.0 at once.
     """
     for agent in (a, b):
         if agent not in table.entries:
@@ -204,9 +205,8 @@ def belief_divergence(table: BeliefTable, a: int, b: int) -> float:
 
     def one_sided(p: PosteriorModel, q: PosteriorModel) -> float:
         fam = p.family
-        w = fam.posterior_weights(p.beta)
-        log_p = fam.log_density(p.beta, p.log_norm, fam.theta)
-        log_q = q.log_density_at(fam.theta)
-        return float(w @ (log_p - log_q))
+        log_p = fam.log_density(p.beta, p.log_norm, fam.theta, fam.log_theta)
+        log_q = q.log_density_at(fam.theta, fam.log_theta)
+        return float(p.solved.weights @ (log_p - log_q))
 
     return one_sided(ma, mb) + one_sided(mb, ma)

@@ -106,12 +106,15 @@ def lattice_scale(k: int, r: int) -> tuple[float, float]:
 @dataclass(frozen=True, eq=False)
 class SimplexGrid:
     """Equal-weight quadrature rule over the simplex: each of the
-    (node_count, k) interior `nodes` carries weight 1 / node_count; `bins`
-    is their `marginal_bins` table."""
+    (node_count, k) interior `nodes` carries weight 1 / node_count, whose log
+    is `log_weights`; `log_nodes` is np.log(nodes.T), C-contiguous (k,
+    node_count), and `bins` is their `marginal_bins` table."""
 
     k: int
     resolution: int
     nodes: np.ndarray
+    log_nodes: np.ndarray
+    log_weights: np.ndarray
     bins: np.ndarray
 
     @property
@@ -158,9 +161,12 @@ def build_grid(k: int, r: int) -> SimplexGrid:
     counts = compositions(r, k)
     D, s = lattice_scale(k, r)
     nodes = (counts + s) / D
-    bins = marginal_bins(nodes)
-    nodes.flags.writeable = bins.flags.writeable = False
-    return SimplexGrid(k=k, resolution=r, nodes=nodes, bins=bins)
+    grid = SimplexGrid(k=k, resolution=r, nodes=nodes,
+                       log_nodes=np.ascontiguousarray(np.log(nodes.T)),
+                       log_weights=np.full(n_nodes, -np.log(n_nodes)), bins=marginal_bins(nodes))
+    for arr in (grid.nodes, grid.log_nodes, grid.log_weights, grid.bins):
+        arr.flags.writeable = False
+    return grid
 
 
 def dirichlet_sampler(seed: int) -> np.random.Generator:

@@ -33,6 +33,13 @@ def lattice_nodes(k: int, r: int) -> np.ndarray:
     return (np.array(rows, dtype=float) + shift) / scale
 
 
+def log_columns(points: np.ndarray) -> np.ndarray:
+    """(k, N) log of each coordinate column of (N, k) points, the layout of the
+    engine's log tables; a zero coordinate gives -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(points.T)
+
+
 def nodes_with_zeros(k: int, r: int, samples: int, seed: int) -> np.ndarray:
     """Lattice nodes stacked on Dirichlet(1/2) draws with about 1 in 8 coordinates set to 0."""
     rng = np.random.default_rng(seed)
@@ -179,7 +186,7 @@ def tilted_flat_posterior(r: int, f_coeffs, target: float):
 def entropy_functional(model, prior_alpha, k: int, n: int, visible: dict[int, int],
                        nodes: np.ndarray) -> float:
     """-E[p log(p/p_ref)] by equal-weight quadrature, p_ref = prior * likelihood."""
-    log_p = model.log_density_at(nodes)
+    log_p = model.log_density_at(nodes, log_columns(nodes))
     log_ref = dirichlet_log_rel(prior_alpha, nodes) + view_loglik_aggregated(
         k, n, visible, nodes
     )

@@ -32,6 +32,7 @@ from maxent_agents.fileio import write_payload
 from maxent_agents.multinomial import view_log_likelihood_nodes
 
 from oracles import (
+    log_columns,
     compositions,
     dirichlet_log_rel,
     entropy_functional,
@@ -81,7 +82,7 @@ def test_criterion_1_bayes_reduction(eng960):
             view = AgentView.full(CountVector.of(m))
             model = posterior(solve_beta(prior, view, ConstraintSpec.none(3), eng960))
             closed = dirichlet_log_rel(alpha + m, nodes)
-            rel = np.abs(np.expm1(model.log_density_at(nodes) - closed))
+            rel = np.abs(np.expm1(model.log_density_at(nodes, log_columns(nodes)) - closed))
             assert rel.max() <= 1e-8, (case, alpha, m, rel.max())
 
 
@@ -96,7 +97,7 @@ def test_criterion_2_maxent_reduction(eng960):
         assert abs(check.expected_f - 0.0) <= 1e-8
         beta_o, nodes_o, log_norm_o = tilted_flat_posterior(960, [1.0, 0.0, -2.0], 0.0)
         oracle = beta_o * (nodes_o @ np.array([1.0, 0.0, -2.0])) - log_norm_o
-        rel = np.abs(np.expm1(model.log_density_at(nodes_o) - oracle))
+        rel = np.abs(np.expm1(model.log_density_at(nodes_o, log_columns(nodes_o)) - oracle))
         assert rel.max() <= 1e-6, rel.max()
 
 
@@ -138,8 +139,9 @@ def test_criterion_4_marginalization_identity():
                         if sum(m_v) > n or (not hidden and sum(m_v) < n):
                             continue
                         visible = dict(zip(subset, m_v))
+                        pts = np.array([theta])
                         ours = view_log_likelihood_nodes(
-                            AgentView.from_mapping(k, n, visible), np.array([theta])
+                            AgentView.from_mapping(k, n, visible), pts, log_columns(pts)
                         )[0]
                         brute = view_loglik_brute(k, n, visible, theta)
                         tol = 1e-12 * max(1.0, abs(ours), abs(brute))
@@ -161,7 +163,7 @@ def test_criterion_5_student_scenario_end_to_end(eng240):
             )
             top = form.max()
             direct = form - (top + np.log(np.mean(np.exp(form - top))))
-            rel = np.abs(np.expm1(model.log_density_at(nodes) - direct))
+            rel = np.abs(np.expm1(model.log_density_at(nodes, log_columns(nodes)) - direct))
             assert rel.max() <= 1e-8, (m1, rel.max())
 
 

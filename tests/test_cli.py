@@ -271,6 +271,23 @@ class TestInfer:
                      "--constraint", "f=1,0,-2;F=0.999999999999"])
         assert code == 3
 
+    def test_positive_entropy_exit_code(self, tmp_path, capsys):
+        # The default Monte-Carlo engine's estimate of this tilted prior
+        # gives s_me = 0.34 > 0, a numerical failure (exit 3), not an
+        # input error; no output is written.
+        config = tmp_path / "c.json"
+        write_payload(config, {"k": 5, "n": 12, "seed": 7, "prior": [1.0] * 5,
+                               "constraint": {"f": [1, 0, 0, 0, -2], "F": 0.0},
+                               "engine": {"mc_seed": 2}})
+        counts = tmp_path / "counts.json"
+        write_payload(counts, {"k": 5, "n": 12, "counts": [3, 2, 4, 1, 2], "seed": 7})
+        out = tmp_path / "x"
+        code = main(["infer", "--config", str(config), "--counts", str(counts),
+                     "--out", str(out), "--view", "none"])
+        assert code == 3
+        assert "s_me = 0.3397" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -23,10 +23,12 @@ from maxent_agents import (
     solve_beta,
 )
 from maxent_agents import engine as engine_module
-from maxent_agents.engine import BETA_CAP, MARGINAL_BINS, EngineRangeError, _TiltedFamily
+from maxent_agents.engine import (BETA_CAP, MARGINAL_BINS, ConvergenceError, EngineRangeError,
+                                  _TiltedFamily)
 from maxent_agents.simplex import NODE_BUDGET, NodeBudgetError
 
 from oracles import (
+    log_columns,
     assert_row_sums_close,
     dirichlet_log_rel,
     entropy_functional,
@@ -85,6 +87,7 @@ class TestSpecs:
         with pytest.raises(ValueError, match="residual"):
             SolvedConstraint(
                 spec=BIAS, beta=0.0, log_zeta=0.0, residual=1e-3, tol=1e-9, family=fam,
+                weights=fam.posterior_weights(0.0),
             )
         with pytest.raises(TypeError, match="family"):
             SolvedConstraint(spec=BIAS, beta=0.0, log_zeta=0.0, residual=0.0, tol=1e-9)
@@ -105,7 +108,7 @@ class TestPriorDensity:
             # are inf - inf = nan in both forms.
             with np.errstate(invalid="ignore"):
                 ref = const + power_product_full(alpha - 1.0, pts)
-                got = prior.log_rel_density(pts)
+                got = prior.log_rel_density(log_columns(pts))
             if k <= 7 or np.all(alpha == 1.0):
                 np.testing.assert_array_equal(got, ref)
             else:
@@ -212,13 +215,13 @@ class TestSolveBeta:
         # Feasible in exact arithmetic, but the r=30 nodes only reach
         # <f> < 0.9367; the solve says so before taking any step.
         calls = []
-        moments_f = _TiltedFamily.moments_f
+        tilt = _TiltedFamily.tilt
 
         def counting(self, beta):
             calls.append(beta)
-            return moments_f(self, beta)
+            return tilt(self, beta)
 
-        monkeypatch.setattr(_TiltedFamily, "moments_f", counting)
+        monkeypatch.setattr(_TiltedFamily, "tilt", counting)
         view = AgentView.full(CountVector.of([5, 3, 2]))
         target = ConstraintSpec.of([1, 0, -2], 0.999999999999)
         with pytest.raises(EngineRangeError,
@@ -245,7 +248,7 @@ class TestNewtonSolve:
                         ref = brentq(lambda b: fam.expected_f(b) - F, -BETA_CAP, BETA_CAP,
                                      xtol=1e-13, rtol=1e-15)
                         # The stop rule pins <f> to tol, which pins beta to tol / Var f.
-                        _, var = fam.moments_f(ref)
+                        _, var = fam.moments_f(fam.posterior_weights(ref))
                         assert abs(solved.beta - ref) <= 1e-10 + solved.tol / var
                         assert solved.iterations <= 12
 
@@ -279,7 +282,7 @@ class TestPosterior:
                 PriorSpec.of(alpha), AgentView.full(CountVector.of(m)), eng240
             )
             nodes = eng240.grid.nodes
-            ours = model.log_density_at(nodes)
+            ours = model.log_density_at(nodes, log_columns(nodes))
             closed = dirichlet_log_rel(alpha + m, nodes)
             assert np.abs(np.expm1(ours - closed)).max() <= 1e-8
 
@@ -295,7 +298,7 @@ class TestPosterior:
     def test_empty_view_beta0_is_prior_flat(self, eng240):
         model = bayes_posterior(FLAT3, AgentView.empty(3, 0), eng240)
         pts = np.random.default_rng(0).dirichlet(np.ones(3), size=50)
-        assert np.abs(model.log_density_at(pts)).max() <= 1e-12
+        assert np.abs(model.log_density_at(pts, log_columns(pts))).max() <= 1e-12
 
     def test_empty_view_beta0_is_prior_nonflat(self, eng240):
         # Self-normalization reproduces the prior up to the grid's estimate
@@ -304,7 +307,7 @@ class TestPosterior:
         model = bayes_posterior(prior, AgentView.empty(3, 0), eng240)
         pts = np.random.default_rng(0).dirichlet(np.ones(3), size=50)
         assert np.abs(
-            model.log_density_at(pts) - prior.log_rel_density(pts)
+            model.log_density_at(pts, log_columns(pts)) - prior.log_rel_density(log_columns(pts))
         ).max() <= 1e-7
 
     def test_maxent_reduction_vs_independent_oracle(self, eng240):
@@ -315,7 +318,7 @@ class TestPosterior:
         beta_o, nodes_o, log_norm_o = tilted_flat_posterior(240, [1.0, 0.0, -2.0], 0.0)
         fvals = nodes_o @ np.array([1.0, 0.0, -2.0])
         oracle_logdens = beta_o * fvals - log_norm_o
-        ours = model.log_density_at(nodes_o)
+        ours = model.log_density_at(nodes_o, log_columns(nodes_o))
         assert np.abs(np.expm1(ours - oracle_logdens)).max() <= 1e-8
 
     def test_student_view_matches_direct_form(self, eng240):
@@ -333,7 +336,7 @@ class TestPosterior:
             + (n - m1) * np.log(1 - nodes[:, 0])
         )
         direct = form - (np.max(form) + np.log(np.mean(np.exp(form - np.max(form)))))
-        ours = model.log_density_at(nodes)
+        ours = model.log_density_at(nodes, log_columns(nodes))
         assert np.abs(np.expm1(ours - direct)).max() <= 1e-8
 
 
@@ -351,7 +354,8 @@ class TestSequentialVsSimultaneous:
         bayes = bayes_posterior(FLAT3, view, eng240)
         joint = posterior(sim)
         nodes = eng240.grid.nodes
-        assert np.array_equal(joint.log_density_at(nodes), bayes.log_density_at(nodes))
+        assert np.array_equal(joint.log_density_at(nodes, log_columns(nodes)),
+                              bayes.log_density_at(nodes, log_columns(nodes)))
 
     def test_betas_differ_on_skewed_counts(self, eng240):
         # Sequential (fit the tilt on the prior, then condition) lands on a
@@ -360,6 +364,32 @@ class TestSequentialVsSimultaneous:
         beta_seq = solve_beta(FLAT3, AgentView.empty(3, 10), BIAS, eng240).beta
         beta_sim = solve_beta(FLAT3, view, BIAS, eng240).beta
         assert abs(beta_seq - beta_sim) > 1e-3
+
+
+class TestOnePass:
+    """One exp pass per beta: the weights and log zeta the solve keeps, and
+    the node masses `posterior` evaluates, are the values the separate
+    passes they replace give, bit for bit."""
+
+    @pytest.mark.parametrize("engine", [GridEngine(3, 240), McEngine(3, 20_000, 4)],
+                             ids=["grid", "mc"])
+    @pytest.mark.parametrize("visible", [{1: 5, 2: 3, 3: 2}, {2: 3}, {}])
+    def test_kept_pass_matches_fresh_passes(self, engine, visible):
+        view = AgentView.from_mapping(3, 10, visible)
+        solved = solve_beta(FLAT3, view, BIAS, engine)
+        fam, beta = solved.family, solved.beta
+        assert beta != 0.0
+        np.testing.assert_array_equal(solved.weights, fam.posterior_weights(beta))
+        assert solved.log_zeta == fam.log_zeta(beta)
+        t = fam.a + beta * fam.f
+        w = np.exp(t - t.max())
+        np.testing.assert_array_equal(solved.weights, w / w.sum())
+        assert solved.log_zeta == float(t.max() + np.log(np.sum(np.exp(t - t.max()))))
+        model = posterior(solved)
+        np.testing.assert_array_equal(model.node_mass,
+                                      np.exp(fam.a + beta * fam.f - solved.log_zeta))
+        for arr in (solved.weights, model.node_mass):
+            assert not arr.flags.writeable
 
 
 class TestEntropy:
@@ -386,7 +416,9 @@ class TestEntropy:
         assert report.s_me == pytest.approx(direct, abs=1e-6)
 
     def test_report_rejects_positive(self):
-        with pytest.raises(ValueError):
+        # A positive s_me is a numerical failure of the engine (exit 3), not
+        # an input error.
+        with pytest.raises(ConvergenceError, match=r"s_me = .*0\.5 > 0"):
             EntropyReport(s_me=0.5, log_zeta=0.5, beta=0.0, F=0.0)
 
 
@@ -489,7 +521,7 @@ class TestMarginals:
 
             def basis(self, prior, view):
                 logw = np.log(np.random.default_rng(6).uniform(0.5, 1.5, size=x.size))
-                return nodes, logw - np.log(np.exp(logw).sum())
+                return nodes, log_columns(nodes), logw - np.log(np.exp(logw).sum())
 
         model = bayes_posterior(PriorSpec.flat(2), AgentView.empty(2, 0), FixedNodes())
         assert {0.0, 1.0} <= set(x.tolist())

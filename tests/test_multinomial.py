@@ -11,6 +11,7 @@ from maxent_agents import (
     AgentView,
     CountVector,
     ThetaPoint,
+    build_grid,
     log_factorial,
     simulate_rolls,
 )
@@ -20,6 +21,7 @@ from maxent_agents.multinomial import log_power, view_log_likelihood_nodes
 from oracles import (
     assert_row_sums_close,
     compositions,
+    log_columns,
     log_multinomial_pmf,
     nodes_with_zeros,
     power_terms,
@@ -32,7 +34,8 @@ LOG_PMF_532 = -2.4645159601402662834
 
 def view_loglik(view, theta) -> float:
     """The engine's view likelihood at one point."""
-    return float(view_log_likelihood_nodes(view, np.array([theta], dtype=float))[0])
+    pts = np.array([theta], dtype=float)
+    return float(view_log_likelihood_nodes(view, pts, log_columns(pts))[0])
 
 
 def log_pmf(counts, theta) -> float:
@@ -164,7 +167,7 @@ class TestViewLikelihood:
         visible = {2: 3, 4: 1}
         view = AgentView.from_mapping(4, 9, visible)
         pts = np.random.default_rng(5).dirichlet(np.ones(4), size=20)
-        vec = view_log_likelihood_nodes(view, pts)
+        vec = view_log_likelihood_nodes(view, pts, log_columns(pts))
         for j, p in enumerate(pts):
             assert vec[j] == pytest.approx(view_loglik_brute(4, 9, visible, p), rel=1e-12)
 
@@ -191,10 +194,11 @@ class TestPowerKernel:
             raise AssertionError("log evaluated")
 
         pts = nodes_with_zeros(3, 6, 20, seed=1)
+        log_pts = log_columns(pts)
         monkeypatch.setattr(multinomial.np, "log", fail)
-        np.testing.assert_array_equal(log_power(np.zeros(3), pts), np.zeros(pts.shape[0]))
+        np.testing.assert_array_equal(log_power(np.zeros(3), log_pts), np.zeros(pts.shape[0]))
         view = AgentView.full(CountVector.of([0, 0, 0]))
-        np.testing.assert_array_equal(view_log_likelihood_nodes(view, pts),
+        np.testing.assert_array_equal(view_log_likelihood_nodes(view, pts, log_pts),
                                       np.zeros(pts.shape[0]))
 
     @pytest.mark.parametrize("k", [3, 7, 16])
@@ -207,7 +211,7 @@ class TestPowerKernel:
                   np.resize([-0.5, 2.0], k)):
             terms = xlogy(e, pts)
             with np.errstate(invalid="ignore"):
-                got = log_power(e, pts)
+                got = log_power(e, log_columns(pts))
                 ref = terms.sum(axis=1)
             assert_row_sums_close(got, ref, terms)
         assert np.isposinf(ref).any() and np.isneginf(ref).any()
@@ -216,16 +220,36 @@ class TestPowerKernel:
         views = [AgentView.full(CountVector.of(counts)),
                  AgentView.from_mapping(k, int(counts.sum()) + 3, {1: 0, 2: int(counts[1])})]
         for view in views:
-            got = view_log_likelihood_nodes(view, pts)
+            got = view_log_likelihood_nodes(view, pts, log_columns(pts))
             ref = full_column_view_loglik(view, pts, terms=xlogy)
             finite = np.isfinite(ref)
             assert not finite.all()
             np.testing.assert_array_equal(got[~finite], ref[~finite])
             np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-14)
 
+    @pytest.mark.parametrize("k, r", [(3, 240), (16, 5)])
+    def test_columns_match_row_sums(self, k, r):
+        # The kernel adds the kept terms left to right, one log column at a
+        # time.  numpy sums a row of fewer than 8 terms left to right too, so
+        # there the two agree bit for bit; longer rows numpy may sum
+        # pairwise, which moves the result by a few ulps of sum |terms|.
+        grid = build_grid(k, r)
+        rng = np.random.default_rng(k)
+        for kept in range(1, k + 1):
+            cols = np.sort(rng.choice(k, kept, replace=False))
+            e = np.zeros(k)
+            e[cols] = rng.choice([-0.5, 1.0, 3.0, 7.0], size=kept)
+            terms = e[cols] * np.log(grid.nodes[:, cols])
+            got = log_power(e, grid.log_nodes)
+            if kept <= 7:
+                np.testing.assert_array_equal(got, terms.sum(axis=1))
+            else:
+                bound = 4 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+                assert np.all(np.abs(got - terms.sum(axis=1)) <= bound)
+
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError, match="expected 3"):
-            log_power(np.ones(3), np.full((2, 4), 0.25))
+            log_power(np.ones(3), np.full((2, 4), np.log(0.25)))
 
     @pytest.mark.parametrize("k", [3, 7, 16])
     def test_view_matches_full_column_xlogy(self, k):
@@ -247,7 +271,7 @@ class TestPowerKernel:
         ]
         for view in views:
             with np.errstate(divide="ignore"):
-                got = view_log_likelihood_nodes(view, pts)
+                got = view_log_likelihood_nodes(view, pts, log_columns(pts))
                 ref = full_column_view_loglik(view, pts)
             if len(view.visible) <= 7:
                 np.testing.assert_array_equal(got, ref)

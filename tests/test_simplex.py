@@ -74,7 +74,7 @@ class TestBuildGrid:
             for r in (1, 2, 5, 10, 30, 60):
                 if math.comb(r + k - 1, k - 1) > 100_000:
                     continue
-                nodes, logw = GridEngine(k, r).basis(PriorSpec.flat(k), AgentView.empty(k, 0))
+                nodes, _, logw = GridEngine(k, r).basis(PriorSpec.flat(k), AgentView.empty(k, 0))
                 assert abs(math.fsum(np.exp(logw).tolist()) - 1.0) <= 1e-12
                 assert nodes.shape[0] == math.comb(r + k - 1, k - 1)
 
@@ -96,6 +96,23 @@ class TestBuildGrid:
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                table += 1
+
+    @pytest.mark.parametrize("k, r", [(2, 960), (3, 240), (16, 5)])
+    def test_log_tables(self, k, r):
+        # The log columns and log-weights every fit reads are built once with
+        # the grid: np.log(nodes.T) bit for bit, C-contiguous, read-only.
+        grid = build_grid(k, r)
+        assert grid.log_nodes.shape == (k, grid.node_count)
+        assert grid.log_nodes.flags.c_contiguous
+        np.testing.assert_array_equal(grid.log_nodes, np.log(grid.nodes.T))
+        np.testing.assert_array_equal(grid.log_weights,
+                                      np.full(grid.node_count, -np.log(grid.node_count)))
+        basis = GridEngine(k, r).basis(PriorSpec.flat(k), AgentView.empty(k, 0))
+        assert all(a is b for a, b in zip(basis, (grid.nodes, grid.log_nodes, grid.log_weights)))
+        for table in (grid.log_nodes, grid.log_weights):
+            assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table += 1
 
