@@ -7,7 +7,6 @@ likelihood of what it saw, exponentially tilted so the constraint holds.
 """
 from .engine import (
     ConstraintSpec,
-    EntropyReport,
     GridEngine,
     InfeasibleConstraintError,
     McEngine,
@@ -35,7 +34,6 @@ __all__ = [
     "ConstraintSpec",
     "CountVector",
     "EngineSettings",
-    "EntropyReport",
     "ExperimentConfig",
     "GridEngine",
     "InfeasibleConstraintError",

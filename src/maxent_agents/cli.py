@@ -28,9 +28,6 @@ from .engine import (
     InfeasibleConstraintError,
     PriorSpec,
     me_entropy,
-    posterior,
-    posterior_summary,
-    solve_beta,
     tilt_table,
 )
 from .fileio import (
@@ -46,7 +43,7 @@ from .fileio import (
     write_sweep_csv,
 )
 from .multinomial import AgentView, CountVector, simulate_rolls
-from .network import belief_divergence, infer_all
+from .network import BeliefEntry, belief_divergence, fit_view, infer_all
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -148,13 +145,14 @@ def _parse_view(text: str | None, counts: CountVector) -> AgentView:
     )
 
 
-def _agent_payload(view: AgentView, solved, summary, entropy) -> dict:
+def _agent_payload(entry: BeliefEntry, s_me: float) -> dict:
+    solved, summary = entry.model.solved, entry.summary
     return {
-        "view": view_to_payload(view),
+        "view": view_to_payload(entry.view),
         "beta": solved.beta,
         "log_zeta": solved.log_zeta,
         "residual": solved.residual,
-        "s_me": entropy.s_me,
+        "s_me": s_me,
         "expected_f": summary.expected_f,
         "normalization": summary.normalization,
         "means": list(summary.means),
@@ -178,15 +176,14 @@ def cmd_infer(args: argparse.Namespace) -> int:
     config, counts, prior, constraint, engine = _problem(args)
     view = _parse_view(args.view, counts)
     t0 = time.perf_counter()
-    solved = solve_beta(prior, view, constraint, engine)
-    model = posterior(solved)
-    summary = posterior_summary(model)
-    entropy = me_entropy(model)
+    entry = fit_view(prior, view, constraint, engine)
+    s_me = me_entropy(entry.model)
     elapsed = time.perf_counter() - t0
+    solved = entry.model.solved
     record = {
         "config": config.to_payload(),
         "counts": list(counts.counts),
-        "agents": [_agent_payload(view, solved, summary, entropy)],
+        "agents": [_agent_payload(entry, s_me)],
         "meta": {
             "engine": engine.descriptor(),
             "solver_iterations": [solved.iterations],
@@ -210,8 +207,7 @@ def cmd_network(args: argparse.Namespace) -> int:
         if agent in table.entries:
             entry = table.entries[agent]
             if entry.model not in bodies:
-                bodies[entry.model] = _agent_payload(entry.view, entry.model.solved,
-                                                     entry.summary, me_entropy(entry.model))
+                bodies[entry.model] = _agent_payload(entry, me_entropy(entry.model))
             agents_payload.append({"agent": agent, **bodies[entry.model]})
             iterations.append(entry.model.solved.iterations)
         else:

@@ -11,10 +11,11 @@ strictly increasing in beta (its derivative is the posterior variance of
 f), so the solve takes Newton steps toward <f>_beta = F inside a sign
 bracket and falls back to bisection whenever a step would leave it.
 
-Everything is normalized on the engine's own nodes: zeta is the engine
-expectation, under the flat reference measure, of the unnormalized density,
-so every posterior integrates to exactly 1 under the engine that built it
-and tilt expectations are ratios of sums sharing one set of nodes.  All
+An engine's `basis(prior, view)` is a `NodeSet`: nodes on the simplex plus
+log-weights of the flat reference measure.  Everything is normalized on
+those nodes: zeta is the engine expectation of the unnormalized density, so
+every posterior integrates to exactly 1 under the engine that built it and
+tilt expectations are ratios of sums sharing one set of nodes.  All
 densities are handled in log space; the beta-independent part of the
 log-integrand is computed once per (prior, view, engine), reused across
 every beta the solver visits, and kept on the fitted SolvedConstraint, which
@@ -39,8 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .multinomial import AgentView, log_power, view_log_likelihood_nodes
-from .simplex import (MARGINAL_BINS, MARGINAL_EDGES, NODE_BUDGET, NodeBudgetError, build_grid,
-                      marginal_bins, sample_dirichlet)
+from .simplex import (MARGINAL_BINS, MARGINAL_EDGES, NODE_BUDGET, NodeBudgetError, NodeSet,
+                      build_grid, sample_dirichlet)
 
 SOLVER_TOL = 1e-9
 MAX_ITER = 200
@@ -142,7 +143,7 @@ class ConstraintSpec:
 class SolvedConstraint:
     """A fitted multiplier: beta, the log normalizer, and the residual,
     with the tilted family it was fitted on (prior, view, constraint and
-    engine), from which `posterior` builds the model, and the read-only
+    the engine's node set), from which `posterior` builds the model, and the read-only
     normalized node weights of the pass that gave log_zeta.
     """
 
@@ -174,10 +175,9 @@ class GridEngine:
         self.resolution = resolution
         self.grid = build_grid(k, resolution)
 
-    def basis(self, prior: PriorSpec, view: AgentView) -> tuple[np.ndarray, ...]:
-        """Return (theta nodes, their (k, N) log columns, log reference weights)."""
-        g = self.grid
-        return g.nodes, g.log_nodes, g.log_weights
+    def basis(self, prior: PriorSpec, view: AgentView) -> NodeSet:
+        """The grid itself: its nodes do not depend on the prior or the view."""
+        return self.grid
 
     def descriptor(self) -> dict:
         return {"grid": self.resolution}
@@ -216,14 +216,14 @@ class McEngine:
             params[hidden] += rest * alpha[hidden] / alpha[hidden].sum()
         return params
 
-    def basis(self, prior: PriorSpec, view: AgentView) -> tuple[np.ndarray, ...]:
+    def basis(self, prior: PriorSpec, view: AgentView) -> NodeSet:
         params = self.proposal_params(prior, view)
         theta = sample_dirichlet(params, self.samples, self.seed)
         const = math.lgamma(params.sum()) - sum(map(math.lgamma, params)) - math.lgamma(self.k)
         log_theta = np.log(theta)
         log_proposal_rel = const + log_theta @ (params - 1.0)
         logw = -np.log(self.samples) - log_proposal_rel
-        return theta, np.ascontiguousarray(log_theta.T), logw
+        return NodeSet(theta, np.ascontiguousarray(log_theta.T), logw)
 
     def descriptor(self) -> dict:
         return {"mc_samples": self.samples, "mc_seed": self.seed}
@@ -233,7 +233,8 @@ class McEngine:
 
 
 class _TiltedFamily:
-    """Cached beta-independent node data for one (prior, view, constraint, engine).
+    """Cached beta-independent node data for one (prior, view, constraint,
+    engine), on the engine's basis `nodes`:
 
     a_j = log w_j + log prior_rel(theta_j) + log view_likelihood(theta_j)
     f_j = f(theta_j)
@@ -248,18 +249,17 @@ class _TiltedFamily:
                 f"dimension mismatch: prior k={prior.k}, view k={view.k}, "
                 f"constraint k={spec.k}, engine k={engine.k}"
             )
-        self.prior, self.view, self.spec, self.engine = prior, view, spec, engine
-        theta, log_theta, logw = engine.basis(prior, view)
-        self.theta, self.log_theta = theta, log_theta
-        self.a = (logw + prior.log_rel_density(log_theta)
-                  + view_log_likelihood_nodes(view, theta, log_theta))
+        self.prior, self.view, self.spec = prior, view, spec
+        self.nodes = ns = engine.basis(prior, view)
+        self.a = (ns.log_weights + prior.log_rel_density(ns.log_nodes)
+                  + view_log_likelihood_nodes(view, ns.nodes, ns.log_nodes))
         if not np.all(np.isfinite(self.a)):
             j = int(np.flatnonzero(~np.isfinite(self.a))[0])
             raise ValueError(
-                f"log-integrand is not finite at node {j} (theta={tuple(theta[j])}); "
+                f"log-integrand is not finite at node {j} (theta={tuple(ns.nodes[j])}); "
                 "the view likelihood vanishes on the whole support"
             )
-        self.f = spec.f_values(theta)
+        self.f = spec.f_values(ns.nodes)
 
     def tilt(self, beta: float) -> tuple[np.ndarray, float]:
         """(read-only normalized posterior weights, log zeta) at beta, from one
@@ -289,17 +289,6 @@ class _TiltedFamily:
         mean = float(w @ self.f)
         dev = self.f - mean
         return mean, float(w @ (dev * dev))
-
-    def log_density(self, beta: float, log_zeta: float, points: np.ndarray,
-                    log_points: np.ndarray) -> np.ndarray:
-        """log posterior density (relative to the flat reference) at an (N, k)
-        array of points, given their (k, N) log columns."""
-        return (
-            self.prior.log_rel_density(log_points)
-            + view_log_likelihood_nodes(self.view, points, log_points)
-            + self.spec.f_values(points) * beta
-            - log_zeta
-        )
 
 
 def tilt_table(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
@@ -431,18 +420,22 @@ class PosteriorModel:
     def beta(self) -> float:
         return self.solved.beta
 
-    @property
-    def log_norm(self) -> float:
-        return self.solved.log_zeta
-
     def log_density_at(self, points: np.ndarray, log_points: np.ndarray) -> np.ndarray:
-        return self.family.log_density(self.beta, self.log_norm, points, log_points)
+        """log posterior density (relative to the flat reference) at an (N, k)
+        array of points, given their (k, N) log columns."""
+        fam = self.family
+        return (
+            fam.prior.log_rel_density(log_points)
+            + view_log_likelihood_nodes(fam.view, points, log_points)
+            + fam.spec.f_values(points) * self.beta
+            - self.solved.log_zeta
+        )
 
 
 def posterior(solved: SolvedConstraint) -> PosteriorModel:
     """Build the normalized posterior for a fitted multiplier.
 
-    Prior, view, constraint and engine are those of the tilted family the
+    Prior, view, constraint and node set are those of the tilted family the
     solve fitted on; the model wraps that family.  For a posterior without
     a moment constraint, solve `ConstraintSpec.none(k)` (beta = 0).  The
     node masses exp(a + beta f - log zeta) are evaluated here, once.
@@ -473,18 +466,17 @@ def posterior_summary(model: PosteriorModel) -> PosteriorSummary:
     for plotting; bin masses equal `np.histogram`'s bit for bit.
     """
     fam = model.family
+    theta = fam.nodes.nodes
     w = model.solved.weights
-    means = fam.theta.T @ w
-    second = (fam.theta**2).T @ w
+    means = theta.T @ w
+    second = (theta**2).T @ w
     variances = np.maximum(second - means**2, 0.0)
     ef = float(w @ fam.f)
     # Engine expectation of the normalized density; exactly 1 up to roundoff
     # because the normalizer is the same engine sum.
     normalization = float(np.sum(model.node_mass))
-    grid = getattr(fam.engine, "grid", None)
-    bins = grid.bins if grid is not None and grid.nodes is fam.theta else marginal_bins(fam.theta)
     marginals = []
-    for side in bins:  # one bincount per np.histogram block, added in its order
+    for side in fam.nodes.bins:  # one bincount per np.histogram block, added in its order
         mass = sum(np.bincount(side[i:i + BLOCK], w[i:i + BLOCK], MARGINAL_BINS)
                    for i in range(0, w.size, BLOCK))
         marginals.append(tuple((mass * MARGINAL_BINS).tolist()))
@@ -498,37 +490,24 @@ def posterior_summary(model: PosteriorModel) -> PosteriorSummary:
     )
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """Maximized relative entropy of an update and its ingredients."""
-
-    s_me: float
-    log_zeta: float
-    beta: float
-    F: float
-
-    def __post_init__(self) -> None:
-        # Non-positive up to engine roundoff; it is a negated divergence.
-        if self.s_me > 1e-9:
-            raise ConvergenceError(f"s_me = {self.s_me!r} > 0, but a maximized relative "
-                                   "entropy is <= 0: the engine's quadrature is unreliable")
-
-
-def me_entropy(model: PosteriorModel) -> EntropyReport:
+def me_entropy(model: PosteriorModel) -> float:
     """Entropy of the update: s_me = log zeta - beta * F.
 
     The value is checked against a direct node-wise evaluation of
     -E[p * log(p / p_ref)] with p_ref the prior-times-likelihood density;
     disagreement beyond 1e-6 raises, since that indicates a broken solve.
+    A positive s_me beyond roundoff raises too: it is a negated divergence.
     """
-    fam = model.family
-    beta, F = model.beta, model.solved.spec.F
-    s_me = model.log_norm - beta * F
-    log_p_over_ref = beta * fam.f - model.log_norm
+    solved = model.solved
+    s_me = solved.log_zeta - solved.beta * solved.spec.F
+    log_p_over_ref = solved.beta * model.family.f - solved.log_zeta
     direct = -float(model.node_mass @ log_p_over_ref)
     if abs(s_me - direct) > 1e-6:
         raise ConvergenceError(
             f"entropy identity violated: log_zeta - beta*F = {s_me!r} but the "
             f"direct functional evaluates to {direct!r}"
         )
-    return EntropyReport(s_me=s_me, log_zeta=model.log_norm, beta=beta, F=F)
+    if s_me > 1e-9:
+        raise ConvergenceError(f"s_me = {s_me!r} > 0, but a maximized relative "
+                               "entropy is <= 0: the engine's quadrature is unreliable")
+    return s_me

@@ -137,6 +137,8 @@ class EngineSettings:
     def __post_init__(self) -> None:
         if self.grid is not None and self.mc_samples is not None:
             raise ValueError("choose either a grid resolution or mc_samples, not both")
+        if self.mc_seed < 0:
+            raise ValueError(f"config engine.mc_seed must be >= 0, got {self.mc_seed}")
 
     def build(self, k: int):
         """The engine for dimension k: the configured grid or sample count,
@@ -186,6 +188,8 @@ class ExperimentConfig:
             raise ValueError("k must be >= 2")
         if self.n < 0:
             raise ValueError("n must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.prior) != self.k:
             raise ValueError(f"prior has {len(self.prior)} parameters, expected {self.k}")
         if self.constraint is not None and self.constraint.k != self.k:
@@ -209,7 +213,11 @@ class ExperimentConfig:
         if preset == "triangle-lattice":
             return triangle_lattice_network(field("rows"), field("cols"))
         if preset == "explicit":
-            return explicit_network(field("k", self.k), field("edges", [], [[int]]))
+            edges = field("edges", [], [[int]])
+            for edge in edges:
+                if len(edge) != 2:
+                    raise ValueError(f"config network.edges entry {edge} is not a pair of agents")
+            return explicit_network(field("k", self.k), edges)
         raise ValueError(
             f"unknown network preset {preset!r}; use complete, triangle-lattice or explicit"
         )

@@ -1,8 +1,8 @@
 """Networks of agents, visibility rounds, and per-agent inference.
 
-One agent sits on each vertex of an undirected graph and is assigned one
-die side; it always knows the total roll count and the shared moment
-target, and it sees the counts of every side assigned within graph
+One agent sits on each vertex of an undirected graph, and agent i watches
+die side i; it always knows the total roll count and the shared moment
+target, and it sees the counts of every side watched within graph
 distance `round` of itself (round 0: own side only; round 1: own side plus
 direct neighbors; a round at least the graph diameter reveals everything).
 Every agent runs the same inference engine on its own view.  Agents with
@@ -18,8 +18,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .engine import (
     ConstraintSpec,
     PosteriorModel,
@@ -34,11 +32,10 @@ from .multinomial import AgentView, CountVector
 
 @dataclass(frozen=True)
 class AgentNetwork:
-    """Undirected agent graph with an agent-to-side assignment (both 1-based)."""
+    """Undirected graph on agents 1..k; agent i watches side i."""
 
     k: int
     edges: tuple[tuple[int, int], ...]
-    assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -52,8 +49,6 @@ class AgentNetwork:
                 raise ValueError(f"edges must be stored as (low, high), got ({a}, {b})")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edges")
-        if sorted(self.assignment) != list(range(1, self.k + 1)):
-            raise ValueError("assignment must be a bijection onto sides 1..k")
 
     def neighbors(self, agent: int) -> tuple[int, ...]:
         out = [b for a, b in self.edges if a == agent]
@@ -74,18 +69,10 @@ class AgentNetwork:
                     queue.append(nxt)
         return tuple(sorted(seen))
 
-    def side_of(self, agent: int) -> int:
-        return self.assignment[agent - 1]
-
-
-def _normalize_edges(edges: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
-    out = {(min(a, b), max(a, b)) for a, b in edges}
-    return tuple(sorted(out))
-
 
 def complete_network(k: int) -> AgentNetwork:
     edges = [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
-    return AgentNetwork(k=k, edges=tuple(edges), assignment=tuple(range(1, k + 1)))
+    return AgentNetwork(k=k, edges=tuple(edges))
 
 
 def triangle_lattice_network(rows: int, cols: int) -> AgentNetwork:
@@ -108,20 +95,19 @@ def triangle_lattice_network(rows: int, cols: int) -> AgentNetwork:
                 if 0 <= ii < rows and 0 <= jj < cols:
                     b = ii * cols + jj + 1
                     edges.add((min(a, b), max(a, b)))
-    return AgentNetwork(k=k, edges=tuple(sorted(edges)), assignment=tuple(range(1, k + 1)))
+    return AgentNetwork(k=k, edges=tuple(sorted(edges)))
 
 
-def explicit_network(k: int, edges: Iterable[Sequence[int]],
-                     assignment: Sequence[int] | None = None) -> AgentNetwork:
-    assign = tuple(assignment) if assignment is not None else tuple(range(1, k + 1))
-    return AgentNetwork(k=k, edges=_normalize_edges(edges), assignment=assign)
+def explicit_network(k: int, edges: Iterable[Sequence[int]]) -> AgentNetwork:
+    """The graph on agents 1..k with the given undirected edges, in any order."""
+    return AgentNetwork(k=k, edges=tuple(sorted({(min(a, b), max(a, b)) for a, b in edges})))
 
 
 def views_at_round(net: AgentNetwork, counts: CountVector, round: int) -> dict[int, AgentView]:
     """Each agent's view after `round` hops of glancing.
 
-    Agent a sees the counts of the sides assigned to every agent within
-    graph distance <= round; its own side is always included.
+    Agent a sees the counts of the sides of every agent within graph
+    distance <= round, its own side included.
     """
     if counts.k != net.k:
         raise ValueError(f"counts have k={counts.k} but network has k={net.k}")
@@ -129,8 +115,7 @@ def views_at_round(net: AgentNetwork, counts: CountVector, round: int) -> dict[i
         raise ValueError("round must be >= 0")
     views = {}
     for agent in range(1, net.k + 1):
-        sides = {net.side_of(b) for b in net.agents_within(agent, round)}
-        visible = {s: counts.counts[s - 1] for s in sides}
+        visible = {s: counts.counts[s - 1] for s in net.agents_within(agent, round)}
         views[agent] = AgentView.from_mapping(net.k, counts.n, visible)
     return views
 
@@ -140,6 +125,14 @@ class BeliefEntry:
     view: AgentView
     model: PosteriorModel
     summary: PosteriorSummary
+
+
+def fit_view(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
+             engine) -> BeliefEntry:
+    """The one fit path from (prior, view, constraint, engine) to a belief:
+    the beta solve, its posterior and the posterior's summary."""
+    model = posterior(solve_beta(prior, view, constraint, engine))
+    return BeliefEntry(view=view, model=model, summary=posterior_summary(model))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +160,7 @@ def infer_all(net: AgentNetwork, counts: CountVector, round: int, prior: PriorSp
         view = views[agent]
         if view not in fits:
             try:
-                solved = solve_beta(prior, view, constraint, engine)
-                model = posterior(solved)
-                summary = posterior_summary(model)
-                fits[view] = BeliefEntry(view=view, model=model, summary=summary)
+                fits[view] = fit_view(prior, view, constraint, engine)
             except Exception as exc:  # noqa: BLE001 - per-agent isolation is the contract
                 fits[view] = exc
         fit = fits[view]
@@ -191,8 +181,8 @@ def _agent_error(agent: int, exc: Exception) -> Exception:
 def belief_divergence(table: BeliefTable, a: int, b: int) -> float:
     """Symmetrized relative entropy between two agents' posteriors.
 
-    KL(p_a || p_b) + KL(p_b || p_a), each term evaluated under the nodes of
-    the model whose expectation it is (its kept weights and log columns);
+    KL(p_a || p_b) + KL(p_b || p_a), each term evaluated under the node set
+    of the model whose expectation it is (its nodes and kept weights);
     >= 0, and 0 exactly when the two densities coincide on all nodes;
     agents sharing one fit get 0.0 at once.
     """
@@ -204,9 +194,9 @@ def belief_divergence(table: BeliefTable, a: int, b: int) -> float:
         return 0.0
 
     def one_sided(p: PosteriorModel, q: PosteriorModel) -> float:
-        fam = p.family
-        log_p = fam.log_density(p.beta, p.log_norm, fam.theta, fam.log_theta)
-        log_q = q.log_density_at(fam.theta, fam.log_theta)
+        ns = p.family.nodes
+        log_p = p.log_density_at(ns.nodes, ns.log_nodes)
+        log_q = q.log_density_at(ns.nodes, ns.log_nodes)
         return float(p.solved.weights @ (log_p - log_q))
 
     return one_sided(ma, mb) + one_sided(mb, ma)

@@ -3,9 +3,10 @@
 All expectations are taken with respect to the *normalized* uniform measure
 on the (k-1)-simplex, i.e. the flat Dirichlet(1,...,1) distribution.  With
 that convention the expectation of the constant 1 is exactly 1 and no
-simplex-volume bookkeeping is needed anywhere downstream.  The grid rule
-below supplies the nodes of the lattice engine; `sample_dirichlet` supplies
-the draws of the Monte-Carlo engine and the die-roll simulator.
+simplex-volume bookkeeping is needed anywhere downstream.  An engine's
+basis is a `NodeSet`: nodes plus log-weights of that measure.  The grid rule
+below supplies the lattice engine's; `sample_dirichlet` supplies the draws
+of the Monte-Carlo engine and the die-roll simulator.
 
 The grid rule places one node per composition (c_1,...,c_k) of the
 resolution r into k non-negative parts,
@@ -23,9 +24,10 @@ permutations, and weight normalization is exact by construction.  A grid
 of more than NODE_BUDGET nodes is refused.  Every draw, for the Monte-Carlo
 engine and the simulator alike, comes from one fixed generator per seed.
 
-Everything here is a pure function of its inputs.  A grid is built once per
-(k, r) and kept (the last GRID_CACHE_SIZE per process) with read-only arrays,
-so writing to one raises; draws are fresh arrays on every call.
+Everything here is a pure function of its inputs.  A node set's arrays are
+read-only, so writing to one raises.  A grid is built once per (k, r) and
+kept (the last GRID_CACHE_SIZE per process); draws are fresh arrays on every
+call.
 """
 from __future__ import annotations
 
@@ -104,22 +106,25 @@ def lattice_scale(k: int, r: int) -> tuple[float, float]:
 
 
 @dataclass(frozen=True, eq=False)
-class SimplexGrid:
-    """Equal-weight quadrature rule over the simplex: each of the
-    (node_count, k) interior `nodes` carries weight 1 / node_count, whose log
-    is `log_weights`; `log_nodes` is np.log(nodes.T), C-contiguous (k,
-    node_count), and `bins` is their `marginal_bins` table."""
+class NodeSet:
+    """Nodes plus log-weights, the basis of every engine: N read-only (N, k)
+    `nodes` on the simplex, their log columns `log_nodes` = np.log(nodes.T),
+    C-contiguous (k, N), and the `log_weights` of the reference measure.
+    `bins`, their `marginal_bins` table, is built on first use and kept."""
 
-    k: int
-    resolution: int
     nodes: np.ndarray
     log_nodes: np.ndarray
     log_weights: np.ndarray
-    bins: np.ndarray
 
-    @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
+    def __post_init__(self) -> None:
+        for arr in (self.nodes, self.log_nodes, self.log_weights):
+            arr.flags.writeable = False
+
+    @functools.cached_property
+    def bins(self) -> np.ndarray:
+        bins = marginal_bins(self.nodes)
+        bins.flags.writeable = False
+        return bins
 
 
 def marginal_bins(nodes: np.ndarray) -> np.ndarray:
@@ -134,8 +139,9 @@ def marginal_bins(nodes: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
-def build_grid(k: int, r: int) -> SimplexGrid:
-    """The deterministic simplex grid at resolution r, cached per (k, r).
+def build_grid(k: int, r: int) -> NodeSet:
+    """The deterministic simplex grid at resolution r, cached per (k, r): equal
+    weights 1 / N on its N nodes.
 
     Parameters
     ----------
@@ -161,12 +167,8 @@ def build_grid(k: int, r: int) -> SimplexGrid:
     counts = compositions(r, k)
     D, s = lattice_scale(k, r)
     nodes = (counts + s) / D
-    grid = SimplexGrid(k=k, resolution=r, nodes=nodes,
-                       log_nodes=np.ascontiguousarray(np.log(nodes.T)),
-                       log_weights=np.full(n_nodes, -np.log(n_nodes)), bins=marginal_bins(nodes))
-    for arr in (grid.nodes, grid.log_nodes, grid.log_weights, grid.bins):
-        arr.flags.writeable = False
-    return grid
+    return NodeSet(nodes, np.ascontiguousarray(np.log(nodes.T)),
+                   np.full(n_nodes, -np.log(n_nodes)))
 
 
 def dirichlet_sampler(seed: int) -> np.random.Generator:

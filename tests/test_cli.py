@@ -22,6 +22,7 @@ from maxent_agents import (
 )
 from maxent_agents import cli
 from maxent_agents import engine as engine_module
+from maxent_agents import simplex as simplex_module
 from maxent_agents.cli import main
 from maxent_agents.engine import _TiltedFamily
 from maxent_agents.fileio import (
@@ -222,6 +223,15 @@ class TestSimulate:
         config = write_config(tmp_path / "c.json", theta_true=None)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 4
 
+    def test_negative_seed_names_seed(self, tmp_path, capsys):
+        # It used to reach the generator, whose error named no field.
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     "--seed", "-2"]) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -2\n"
+
 
 class TestInfer:
     def test_full_view_no_constraint_is_conjugate(self, tmp_path):
@@ -369,9 +379,9 @@ class TestInputChecks:
     """Bad input exits 4 with an error line naming it, before any fit and
     without writing an output file."""
 
-    def _run(self, tmp_path, capsys, argv):
+    def _run(self, tmp_path, capsys, argv, counts_payload=COUNTS):
         counts = tmp_path / "counts.json"
-        write_payload(counts, {"k": 3, "n": 10, "counts": [5, 3, 2], "seed": 7})
+        write_payload(counts, counts_payload)
         out = tmp_path / "x"
         code = main(argv + ["--counts", str(counts), "--out", str(out)])
         err = capsys.readouterr().err
@@ -451,6 +461,11 @@ class TestInputChecks:
                      id="counts-without-k"),
         pytest.param({}, COUNTS, ["--view", "a"], "--view side must be an integer, got 'a'",
                      id="view-letter"),
+        pytest.param({"network": {"preset": "explicit", "edges": [[1]]}}, COUNTS, [],
+                     "config network.edges entry [1] is not a pair of agents", id="edge-of-one"),
+        pytest.param({"network": {"edges": [[1, 2], [1, 2, 3]]}}, COUNTS, [],
+                     "config network.edges entry [1, 2, 3] is not a pair of agents",
+                     id="edge-of-three"),
     ])
     def test_input_error_names_its_field(self, tmp_path, capsys, config, counts, extra, named):
         write_config(tmp_path / "c.json", engine={"grid": 30}, **config)
@@ -470,6 +485,18 @@ class TestInputChecks:
         code, err = self._run(tmp_path, capsys, argv)
         assert code == 4
         assert err == "error: counts file has n=10, config has n=40\n"
+
+    @pytest.mark.parametrize("command", ["infer", "network"])
+    def test_negative_mc_seed(self, tmp_path, capsys, command):
+        # It used to reach the sampler: network exited 3 with a file of
+        # per-agent errors, and infer exited 4 naming no field.
+        config = write_config(tmp_path / "c.json", k=5, prior=[1.0] * 5, theta_true=None,
+                              constraint={"f": [1.0, 0.0, 0.0, 0.0, -2.0], "F": 0.0},
+                              engine={"mc_samples": 1000, "mc_seed": -1})
+        code, err = self._run(tmp_path, capsys, [command, "--config", str(config)],
+                              {"k": 5, "n": 10, "counts": [5, 3, 2, 0, 0], "seed": 7})
+        assert code == 4
+        assert err == "error: config engine.mc_seed must be >= 0, got -1\n"
 
     def test_mc_sample_cap(self, tmp_path, capsys, monkeypatch):
         # Refused before any draw; without the cap the draw would be the fault.
@@ -648,6 +675,27 @@ class TestSweepBeta:
             beta, lz, ef, _ = (float(v) for v in line.split(","))
             assert lz == _TiltedFamily(prior, view, spec, engine).log_zeta(beta)
             assert ef == _TiltedFamily(prior, view, spec, engine).expected_f(beta)
+
+    def test_mc_sweep_bins_no_nodes(self, tmp_path, monkeypatch):
+        # A node set builds its marginal bins on first use: a sweep writes no
+        # marginals, so its Monte-Carlo draw is never binned; a summary is.
+        binned = []
+        marginal_bins = simplex_module.marginal_bins
+
+        def counting_bins(nodes):
+            binned.append(nodes.shape)
+            return marginal_bins(nodes)
+
+        monkeypatch.setattr(simplex_module, "marginal_bins", counting_bins)
+        config = write_config(tmp_path / "c.json", engine={"mc_samples": 2000})
+        counts = tmp_path / "counts.json"
+        write_payload(counts, COUNTS)
+        common = ["--config", str(config), "--counts", str(counts)]
+        assert main(["sweep-beta", *common, "--out", str(tmp_path / "s.csv"),
+                     "--beta-min", "-1", "--beta-max", "1", "--beta-step", "0.5"]) == 0
+        assert binned == []
+        assert main(["infer", *common, "--out", str(tmp_path / "i.json")]) == 0
+        assert binned == [(2000, 3)]
 
     def test_bad_range(self, tmp_path):
         config = write_config(tmp_path / "c.json", n=0)

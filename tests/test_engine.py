@@ -11,7 +11,6 @@ from maxent_agents import (
     ConstraintSpec,
     CountVector,
     EngineSettings,
-    EntropyReport,
     GridEngine,
     InfeasibleConstraintError,
     McEngine,
@@ -22,10 +21,9 @@ from maxent_agents import (
     posterior_summary,
     solve_beta,
 )
-from maxent_agents import engine as engine_module
-from maxent_agents.engine import (BETA_CAP, MARGINAL_BINS, ConvergenceError, EngineRangeError,
-                                  _TiltedFamily)
-from maxent_agents.simplex import NODE_BUDGET, NodeBudgetError
+from maxent_agents import simplex as simplex_module
+from maxent_agents.engine import BETA_CAP, MARGINAL_BINS, EngineRangeError, _TiltedFamily
+from maxent_agents.simplex import NODE_BUDGET, NodeBudgetError, NodeSet, marginal_bins
 
 from oracles import (
     log_columns,
@@ -395,31 +393,24 @@ class TestOnePass:
 class TestEntropy:
     def test_no_update_entropy_zero(self, eng240):
         model = bayes_posterior(FLAT3, AgentView.empty(3, 0), eng240)
-        report = me_entropy(model)
-        assert report.s_me == 0.0
+        assert me_entropy(model) == 0.0
 
     def test_full_view_beta0(self, eng240):
         model = bayes_posterior(
             FLAT3, AgentView.full(CountVector.of([5, 3, 2])), eng240
         )
-        report = me_entropy(model)
-        assert report.s_me == pytest.approx(math.log(1 / 66), abs=1e-7)
-        assert report.s_me == report.log_zeta
+        s_me = me_entropy(model)
+        assert s_me == pytest.approx(math.log(1 / 66), abs=1e-7)
+        assert s_me == model.solved.log_zeta
 
     def test_tilted_case_matches_direct_functional(self, eng240):
         view = AgentView.empty(3, 0)
         solved = solve_beta(FLAT3, view, BIAS, eng240)
         model = posterior(solved)
-        report = me_entropy(model)
-        assert report.s_me < 0.0
+        s_me = me_entropy(model)
+        assert s_me < 0.0
         direct = entropy_functional(model, (1.0, 1.0, 1.0), 3, 0, {}, eng240.grid.nodes)
-        assert report.s_me == pytest.approx(direct, abs=1e-6)
-
-    def test_report_rejects_positive(self):
-        # A positive s_me is a numerical failure of the engine (exit 3), not
-        # an input error.
-        with pytest.raises(ConvergenceError, match=r"s_me = .*0\.5 > 0"):
-            EntropyReport(s_me=0.5, log_zeta=0.5, beta=0.0, F=0.0)
+        assert s_me == pytest.approx(direct, abs=1e-6)
 
 
 class TestMcEngineEndToEnd:
@@ -428,6 +419,16 @@ class TestMcEngineEndToEnd:
         assert EngineSettings().build(3).resolution == 240
         assert EngineSettings().build(4).resolution == 60
         assert isinstance(EngineSettings().build(5), McEngine)
+
+    def test_basis_is_a_node_set(self):
+        # Logs taken once per draw; bins built on first use, kept, read-only.
+        ns = McEngine(3, 1000, seed=2).basis(FLAT3, AgentView.full(CountVector.of([5, 3, 2])))
+        assert ns.log_nodes.flags.c_contiguous
+        np.testing.assert_array_equal(ns.log_nodes, np.log(ns.nodes.T))
+        np.testing.assert_array_equal(ns.bins, marginal_bins(ns.nodes))
+        assert ns.bins is ns.bins
+        for arr in (ns.nodes, ns.log_nodes, ns.log_weights, ns.bins):
+            assert not arr.flags.writeable
 
     def test_sample_cap(self):
         # Refused in the constructor, before a single draw is allocated.
@@ -476,10 +477,11 @@ def histogram_marginals(model):
     """np.histogram's marginal tables for a model, scaled to densities."""
     fam = model.family
     w = fam.posterior_weights(model.beta)
+    theta = fam.nodes.nodes
     return tuple(
-        tuple(np.histogram(fam.theta[:, i], bins=MARGINAL_BINS, range=(0.0, 1.0),
+        tuple(np.histogram(theta[:, i], bins=MARGINAL_BINS, range=(0.0, 1.0),
                            weights=w)[0] * MARGINAL_BINS)
-        for i in range(fam.theta.shape[1])
+        for i in range(theta.shape[1])
     )
 
 
@@ -492,13 +494,14 @@ class TestMarginals:
     def test_grid_matches_histogram(self, k, r, monkeypatch):
         view = AgentView.from_mapping(k, 4 if k == 2 else 6, {1: 3, 2: 1})
         f = [1.0] + [0.0] * (k - 2) + [-2.0]
-        model = posterior(solve_beta(PriorSpec.flat(k), view, ConstraintSpec.of(f, 0.0),
-                                     GridEngine(k, r)))
+        engine = GridEngine(k, r)
+        model = posterior(solve_beta(PriorSpec.flat(k), view, ConstraintSpec.of(f, 0.0), engine))
+        assert engine.grid.bins is engine.grid.bins  # built on first use, then kept
 
         def no_binning(nodes):
             raise AssertionError("a grid's nodes were binned again")
 
-        monkeypatch.setattr(engine_module, "marginal_bins", no_binning)
+        monkeypatch.setattr(simplex_module, "marginal_bins", no_binning)
         assert posterior_summary(model).marginals == histogram_marginals(model)
 
     def test_mc_basis_past_one_histogram_block(self):
@@ -521,7 +524,7 @@ class TestMarginals:
 
             def basis(self, prior, view):
                 logw = np.log(np.random.default_rng(6).uniform(0.5, 1.5, size=x.size))
-                return nodes, log_columns(nodes), logw - np.log(np.exp(logw).sum())
+                return NodeSet(nodes, log_columns(nodes), logw - np.log(np.exp(logw).sum()))
 
         model = bayes_posterior(PriorSpec.flat(2), AgentView.empty(2, 0), FixedNodes())
         assert {0.0, 1.0} <= set(x.tolist())

@@ -71,8 +71,6 @@ class TestBuildNetwork:
             explicit_network(3, [(1, 1)])
         with pytest.raises(ValueError, match="out of range"):
             explicit_network(3, [(1, 4)])
-        with pytest.raises(ValueError, match="bijection"):
-            explicit_network(3, [], assignment=[1, 1, 2])
 
 
 class TestViewsAtRound:
@@ -113,15 +111,6 @@ class TestViewsAtRound:
         net = explicit_network(3, [])
         counts = CountVector.of([7, 2, 1])
         assert views_at_round(net, counts, 0) == views_at_round(net, counts, 5)
-
-    def test_nonidentity_assignment(self):
-        net = explicit_network(3, [(1, 2)], assignment=[2, 3, 1])
-        counts = CountVector.of([10, 20, 30])
-        views = views_at_round(net, counts, 0)
-        assert views[1] == AgentView.from_mapping(3, 60, {2: 20})
-        assert views[3] == AgentView.from_mapping(3, 60, {1: 10})
-        views1 = views_at_round(net, counts, 1)
-        assert views1[1] == AgentView.from_mapping(3, 60, {2: 20, 3: 30})
 
     def test_dimension_check(self):
         with pytest.raises(ValueError, match="k="):

@@ -55,9 +55,9 @@ class TestThetaPoint:
 
 class TestBuildGrid:
     def test_node_counts(self):
-        assert build_grid(3, 2).node_count == 6
-        assert build_grid(2, 4).node_count == 5
-        assert build_grid(3, 240).node_count == 29161
+        assert build_grid(3, 2).nodes.shape == (6, 3)
+        assert build_grid(2, 4).nodes.shape == (5, 2)
+        assert build_grid(3, 240).nodes.shape == (29161, 3)
 
     def test_constant_is_exact(self):
         nodes = build_grid(3, 240).nodes
@@ -74,9 +74,9 @@ class TestBuildGrid:
             for r in (1, 2, 5, 10, 30, 60):
                 if math.comb(r + k - 1, k - 1) > 100_000:
                     continue
-                nodes, _, logw = GridEngine(k, r).basis(PriorSpec.flat(k), AgentView.empty(k, 0))
-                assert abs(math.fsum(np.exp(logw).tolist()) - 1.0) <= 1e-12
-                assert nodes.shape[0] == math.comb(r + k - 1, k - 1)
+                basis = GridEngine(k, r).basis(PriorSpec.flat(k), AgentView.empty(k, 0))
+                assert abs(math.fsum(np.exp(basis.log_weights).tolist()) - 1.0) <= 1e-12
+                assert basis.nodes.shape[0] == math.comb(r + k - 1, k - 1)
 
     def test_budget(self):
         with pytest.raises(NodeBudgetError, match="Monte-Carlo"):
@@ -91,7 +91,7 @@ class TestBuildGrid:
         grid = build_grid(3, 17)
         assert build_grid(3, 17) is grid
         assert GridEngine(3, 17).grid is grid
-        assert grid.bins.shape == (3, grid.node_count) and grid.bins.dtype == np.uint8
+        assert grid.bins.shape == (3, grid.nodes.shape[0]) and grid.bins.dtype == np.uint8
         for table in (grid.nodes, grid.bins):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -104,13 +104,12 @@ class TestBuildGrid:
         # The log columns and log-weights every fit reads are built once with
         # the grid: np.log(nodes.T) bit for bit, C-contiguous, read-only.
         grid = build_grid(k, r)
-        assert grid.log_nodes.shape == (k, grid.node_count)
+        n = grid.nodes.shape[0]
+        assert grid.log_nodes.shape == (k, n)
         assert grid.log_nodes.flags.c_contiguous
         np.testing.assert_array_equal(grid.log_nodes, np.log(grid.nodes.T))
-        np.testing.assert_array_equal(grid.log_weights,
-                                      np.full(grid.node_count, -np.log(grid.node_count)))
-        basis = GridEngine(k, r).basis(PriorSpec.flat(k), AgentView.empty(k, 0))
-        assert all(a is b for a, b in zip(basis, (grid.nodes, grid.log_nodes, grid.log_weights)))
+        np.testing.assert_array_equal(grid.log_weights, np.full(n, -np.log(n)))
+        assert GridEngine(k, r).basis(PriorSpec.flat(k), AgentView.empty(k, 0)) is grid
         for table in (grid.log_nodes, grid.log_weights):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
