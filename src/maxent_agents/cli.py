@@ -8,8 +8,8 @@ network     run every agent in a network and compare their beliefs
 sweep-beta  tabulate log_zeta, <f> and s_me over a range of multipliers
 
 Exit codes: 0 success, 2 infeasible constraint, 3 numerical
-non-convergence, 4 input error.  Wall-clock timing goes to stderr so that
-output files stay byte-deterministic for fixed seeds.
+non-convergence, 4 input error (a malformed command line too).  Wall-clock
+timing goes to stderr so output files stay byte-deterministic for fixed seeds.
 """
 from __future__ import annotations
 
@@ -157,7 +157,7 @@ def _agent_payload(entry: BeliefEntry, s_me: float) -> dict:
         "normalization": summary.normalization,
         "means": list(summary.means),
         "variances": list(summary.variances),
-        "marginal_abscissa": list(summary.marginal_abscissa),
+        "marginal_abscissa": summary.marginal_abscissa,  # one shared tuple: formatted once
         "marginals": [list(row) for row in summary.marginals],
     }
 
@@ -269,8 +269,10 @@ def cmd_sweep_beta(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage and `error:` line
+        return EXIT_INPUT if exc.code else EXIT_OK
     handlers = {
         "simulate": cmd_simulate,
         "infer": cmd_infer,

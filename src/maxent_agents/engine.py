@@ -19,8 +19,9 @@ tilt expectations are ratios of sums sharing one set of nodes.  All
 densities are handled in log space; the beta-independent part of the
 log-integrand is computed once per (prior, view, engine), reused across
 every beta the solver visits, and kept on the fitted SolvedConstraint, which
-is the only input `posterior` takes.  Each beta costs one exp pass over the
-nodes, giving the weights and log zeta; the solve keeps its last pass.
+is the only input `posterior` takes.  Newton runs on f's levels, its distinct
+values (cached per grid and f; a Monte-Carlo draw's nodes are its levels), each
+fit folding its nodes onto them once; one node pass at the final beta follows.
 
 With no data the result is the exponentially tilted prior (pure moment
 matching); with beta = 0 it is the conjugate Dirichlet update.  The
@@ -33,6 +34,7 @@ immutable and safe to share across threads.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -40,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .multinomial import AgentView, log_power, view_log_likelihood_nodes
-from .simplex import (MARGINAL_BINS, MARGINAL_EDGES, NODE_BUDGET, NodeBudgetError, NodeSet,
-                      build_grid, sample_dirichlet)
+from .simplex import (GRID_CACHE_SIZE, MARGINAL_BINS, MARGINAL_EDGES, NODE_BUDGET,
+                      NodeBudgetError, NodeSet, build_grid, sample_dirichlet)
 
 SOLVER_TOL = 1e-9
 MAX_ITER = 200
@@ -141,16 +143,16 @@ class ConstraintSpec:
 
 @dataclass(frozen=True)
 class SolvedConstraint:
-    """A fitted multiplier: beta, the log normalizer, and the residual,
-    with the tilted family it was fitted on (prior, view, constraint and
-    the engine's node set), from which `posterior` builds the model, and the read-only
-    normalized node weights of the pass that gave log_zeta.
+    """A fitted multiplier: beta, the log normalizer and <f> under the kept
+    weights, with the tilted family it was fitted on (prior, view, constraint
+    and the engine's node set), from which `posterior` builds the model, and
+    the read-only normalized node weights of the pass that gave log_zeta.
     """
 
     spec: ConstraintSpec
     beta: float
     log_zeta: float
-    residual: float
+    expected_f: float
     tol: float
     family: _TiltedFamily = field(repr=False, compare=False)
     weights: np.ndarray = field(repr=False, compare=False)
@@ -161,6 +163,10 @@ class SolvedConstraint:
             raise ValueError(
                 f"residual {self.residual!r} exceeds solver tolerance {self.tol!r}"
             )
+
+    @property
+    def residual(self) -> float:
+        return abs(self.expected_f - self.spec.F)
 
 
 class GridEngine:
@@ -232,6 +238,17 @@ class McEngine:
         return f"McEngine(k={self.k}, samples={self.samples}, seed={self.seed})"
 
 
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def grid_levels(grid: NodeSet, f: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """(f at each node, its distinct values in increasing order, each node's
+    level index): the nodes grouped by the exact float value of f, cached."""
+    values = ConstraintSpec(f, 0.0).f_values(grid.nodes)
+    out = (values, *np.unique(values, return_inverse=True))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 class _TiltedFamily:
     """Cached beta-independent node data for one (prior, view, constraint,
     engine), on the engine's basis `nodes`:
@@ -259,7 +276,26 @@ class _TiltedFamily:
                 f"log-integrand is not finite at node {j} (theta={tuple(ns.nodes[j])}); "
                 "the view likelihood vanishes on the whole support"
             )
-        self.f = spec.f_values(ns.nodes)
+        self.f, self.levels, self.level_index = (
+            grid_levels(ns, spec.f) if isinstance(engine, GridEngine)
+            else (f := spec.f_values(ns.nodes), f, None))
+
+    @functools.cached_property
+    def level_a(self) -> np.ndarray:
+        """L_g = log sum_{f_j = v_g} e^{a_j}, exact on every level: one exp pass against
+        max a, then the levels summing below 1e-290 again against their own peak."""
+        idx, size = self.level_index, self.levels.size
+        if idx is None:
+            return self.a
+        shift = np.full(size, self.a.max())
+        mass = np.bincount(idx, np.exp(self.a - shift[0]), size)
+        low = mass < 1e-290
+        if low.any():
+            a, sub = self.a[low[idx]], idx[low[idx]]
+            shift[low] = -np.inf
+            np.maximum.at(shift, sub, a)
+            mass[low] = np.bincount(sub, np.exp(a - shift[sub]), size)[low]
+        return shift + np.log(mass)
 
     def tilt(self, beta: float) -> tuple[np.ndarray, float]:
         """(read-only normalized posterior weights, log zeta) at beta, from one
@@ -275,20 +311,21 @@ class _TiltedFamily:
         t.flags.writeable = False
         return t, float(m + np.log(s))
 
-    def posterior_weights(self, beta: float) -> np.ndarray:
-        return self.tilt(beta)[0]
-
-    def log_zeta(self, beta: float) -> float:
-        return self.tilt(beta)[1]
-
     def expected_f(self, beta: float) -> float:
-        return float(self.tilt(beta)[0] @ self.f)
+        return self.mean_f(self.tilt(beta)[0])
 
-    def moments_f(self, w: np.ndarray) -> tuple[float, float]:
-        """(<f>, Var f) under the normalized node weights w."""
-        mean = float(w @ self.f)
-        dev = self.f - mean
-        return mean, float(w @ (dev * dev))
+    def mean_f(self, w: np.ndarray) -> float:
+        """<f> under the normalized node weights w, in a fixed order (no BLAS)."""
+        return float(np.einsum("i,i->", w, self.f))
+
+    def level_moments(self, beta: float) -> tuple[float, float]:
+        """(<f>, Var f) at beta from one exp pass over the levels, in fixed order."""
+        t = self.level_a + beta * self.levels
+        p = np.exp(t - t.max())
+        s = p.sum()
+        mean = float(np.einsum("i,i->", p, self.levels) / s)
+        dev = self.levels - mean
+        return mean, float(np.einsum("i,i,i->", p, dev, dev) / s)
 
 
 def tilt_table(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
@@ -299,7 +336,7 @@ def tilt_table(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
     prior_rel * view_likelihood * e^{beta f}; <f> is the beta-tilted mean.
     """
     fam = _TiltedFamily(prior, view, constraint, engine)
-    return [(log_zeta, float(w @ fam.f)) for w, log_zeta in map(fam.tilt, betas)]
+    return [(log_zeta, fam.mean_f(w)) for w, log_zeta in map(fam.tilt, betas)]
 
 
 def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
@@ -311,8 +348,8 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
     beta = 0 (within SOLVER_TOL) the solve returns beta = 0 exactly.
     Otherwise it takes safeguarded Newton steps from beta = 0 on
     <f>_beta - F, measured as a logit within the range of f over the
-    engine's nodes, with slope from Var_beta f; <f>, Var f and log zeta come
-    from one weights pass.  Every evaluated beta tightens a sign bracket
+    engine's nodes, with slope from Var_beta f; <f> and Var f come from one
+    exp pass over f's levels.  Every evaluated beta tightens a sign bracket
     [lo, hi].  A Newton step is taken only when it lands strictly inside the bracket;
     otherwise the bracket is bisected, or, while one side is still open, the
     step is capped at max(1, 2|beta|) and |beta| at 2^16.  The solve stops
@@ -320,11 +357,11 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
     evaluations without that is a ConvergenceError.  The tolerance and the
     evaluation cap are fixed module constants.  A target outside the range
     of f over the nodes is an EngineRangeError, raised after the beta = 0
-    check and before any step.  `iterations` counts the tilted-family
-    evaluations after the beta = 0 check.  The fitted family and the
-    weights of the last pass are kept on the result, so `posterior(solved)`
-    needs no other input and neither builds the family nor weighs the
-    nodes again.
+    check and before any step.  `iterations` counts the level evaluations
+    after the beta = 0 check.  One node pass at the final beta gives the
+    weights, log zeta and <f>; they and the fitted family are kept on the
+    result, so `posterior(solved)` needs no other input and neither builds
+    the family nor weighs the nodes again.
     """
     lo_f, hi_f = constraint.attainable_interval()
     if constraint.is_constant:
@@ -344,7 +381,7 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
     # nodes.  Near an end <f> approaches it like 1/beta or e^{-c beta}: a
     # Newton step on <f> itself at most doubles beta there, while the logit
     # is close to linear in log beta or in beta.
-    a, b = float(fam.f.min()), float(fam.f.max())
+    a, b = float(fam.levels.min()), float(fam.levels.max())
 
     def logit(x: float) -> float:
         if not a < x < b:
@@ -352,8 +389,7 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
         return math.log((x - a) / (b - x))
 
     beta = 0.0
-    w, log_zeta = fam.tilt(beta)
-    e, var = fam.moments_f(w)
+    e, var = fam.level_moments(beta)
     resid = abs(e - F)
     if resid > SOLVER_TOL and not a < F < b:
         raise EngineRangeError(
@@ -394,13 +430,13 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
                 )
             nxt = math.copysign(BETA_CAP, nxt)
         beta = nxt
-        w, log_zeta = fam.tilt(beta)
-        e, var = fam.moments_f(w)
+        e, var = fam.level_moments(beta)
         resid = abs(e - F)
         iters += 1
+    w, log_zeta = fam.tilt(beta)
     return SolvedConstraint(
-        spec=constraint, beta=beta, log_zeta=log_zeta, residual=resid, tol=SOLVER_TOL,
-        family=fam, weights=w, iterations=iters,
+        spec=constraint, beta=beta, log_zeta=log_zeta, expected_f=fam.mean_f(w),
+        tol=SOLVER_TOL, family=fam, weights=w, iterations=iters,
     )
 
 
@@ -416,10 +452,6 @@ class PosteriorModel:
     def family(self) -> _TiltedFamily:
         return self.solved.family
 
-    @property
-    def beta(self) -> float:
-        return self.solved.beta
-
     def log_density_at(self, points: np.ndarray, log_points: np.ndarray) -> np.ndarray:
         """log posterior density (relative to the flat reference) at an (N, k)
         array of points, given their (k, N) log columns."""
@@ -427,7 +459,7 @@ class PosteriorModel:
         return (
             fam.prior.log_rel_density(log_points)
             + view_log_likelihood_nodes(fam.view, points, log_points)
-            + fam.spec.f_values(points) * self.beta
+            + fam.spec.f_values(points) * self.solved.beta
             - self.solved.log_zeta
         )
 
@@ -471,7 +503,6 @@ def posterior_summary(model: PosteriorModel) -> PosteriorSummary:
     means = theta.T @ w
     second = (theta**2).T @ w
     variances = np.maximum(second - means**2, 0.0)
-    ef = float(w @ fam.f)
     # Engine expectation of the normalized density; exactly 1 up to roundoff
     # because the normalizer is the same engine sum.
     normalization = float(np.sum(model.node_mass))
@@ -483,7 +514,7 @@ def posterior_summary(model: PosteriorModel) -> PosteriorSummary:
     return PosteriorSummary(
         means=tuple(float(v) for v in means),
         variances=tuple(float(v) for v in variances),
-        expected_f=ef,
+        expected_f=model.solved.expected_f,
         normalization=normalization,
         marginal_abscissa=MARGINAL_ABSCISSA,
         marginals=tuple(marginals),

@@ -5,8 +5,8 @@ their insertion order, numeric fields are printed with 17 significant
 digits (which round-trips IEEE doubles exactly), and files end with a
 newline.  Given the same inputs and seeds, output files are therefore
 byte-identical across runs and platforms with the same floating-point
-environment, which includes the BLAS thread count: weighted sums go
-through BLAS dot products, whose last digits can depend on it.
+environment.  Grid results do not depend on the BLAS thread count (their
+sums take a fixed order); Monte-Carlo results may, in their last digits.
 
 Counts files have the fixed schema {k, n, counts: [...], seed,
 theta_true (optional)}.  Sweep tables are comma-separated with a header
@@ -15,6 +15,7 @@ row.  The constraint can also be given as command-line shorthand,
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Mapping, Sequence
@@ -55,6 +56,9 @@ def as_field(value: Any, name: str, kind: Any = int):
     return out
 
 
+_quoted = functools.lru_cache(maxsize=1024)(json.dumps)  # object keys, quoted once
+
+
 def dumps_canonical(obj: Any, indent: int = 0, memo: dict | None = None) -> str:
     """Deterministic JSON emitter; floats at 17 significant digits.  A list or
     object held in several places of `obj` is formatted once per indent:
@@ -79,7 +83,7 @@ def dumps_canonical(obj: Any, indent: int = 0, memo: dict | None = None) -> str:
         if not obj:
             return "{}"
         items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {dumps_canonical(v, indent + 1, memo)}"
+            f"{inner}{_quoted(str(k))}: {dumps_canonical(v, indent + 1, memo)}"
             for k, v in obj.items()
         )
         return memo.setdefault(key, "{\n" + items + "\n" + pad + "}")
@@ -87,6 +91,9 @@ def dumps_canonical(obj: Any, indent: int = 0, memo: dict | None = None) -> str:
         if not obj:
             return "[]"
         if all(type(v) is float for v in obj):
+            if all(map(math.isfinite, obj)) and not any(map(float.is_integer, obj)):
+                # every value prints with a "." or an "e": one format call for all
+                return memo.setdefault(key, "[" + ("%.17g, " * len(obj) % tuple(obj))[:-2] + "]")
             return memo.setdefault(key, "[" + ", ".join(map(_format_float, obj)) + "]")
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"

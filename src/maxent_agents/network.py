@@ -197,6 +197,6 @@ def belief_divergence(table: BeliefTable, a: int, b: int) -> float:
         ns = p.family.nodes
         log_p = p.log_density_at(ns.nodes, ns.log_nodes)
         log_q = q.log_density_at(ns.nodes, ns.log_nodes)
-        return float(p.solved.weights @ (log_p - log_q))
+        return float((p.solved.weights * (log_p - log_q)).sum())  # fixed order, no BLAS
 
     return one_sided(ma, mb) + one_sided(mb, ma)

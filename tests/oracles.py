@@ -6,6 +6,7 @@ tests compare two separately derived answers.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -192,3 +193,114 @@ def entropy_functional(model, prior_alpha, k: int, n: int, visible: dict[int, in
     )
     integrand = -np.exp(log_p) * (log_p - log_ref)
     return fsum_mean(integrand)
+
+
+def level_log_mass(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct values v_g of f, log sum_{f_j = v_g} e^{a_j}), one level at a
+    time, each summed against its own largest a_j."""
+    order = np.argsort(f, kind="stable")
+    fs, as_ = f[order], a[order]
+    starts = np.flatnonzero(np.r_[True, fs[1:] != fs[:-1]])
+    values, masses = [], []
+    for lo, hi in zip(starts, np.r_[starts[1:], fs.size]):
+        seg = as_[lo:hi]
+        top = seg.max()
+        values.append(fs[lo])
+        masses.append(top + math.log(math.fsum(np.exp(seg - top).tolist())))
+    return np.array(values), np.array(masses)
+
+
+def solve_beta_nodes(a: np.ndarray, f: np.ndarray, F: float, tol: float = 1e-9,
+                     max_iter: int = 200, beta_cap: float = 2.0**16) -> tuple[float, float, int]:
+    """(beta, log zeta, evaluations after beta = 0) of the safeguarded Newton
+    solve of <f>_beta = F, with <f>, Var f and log zeta taken over every node
+    at each step: the logit of <f> within the range of f, a sign bracket,
+    bisection when a step leaves it, steps capped while it is open."""
+    lo_f, hi_f = float(f.min()), float(f.max())
+
+    def evaluate(beta: float) -> tuple[float, float, float]:
+        t = a + beta * f
+        top = t.max()
+        w = np.exp(t - top)
+        s = w.sum()
+        w /= s
+        mean = float(np.sum(w * f))
+        return mean, float(np.sum(w * (f - mean) ** 2)), float(top + math.log(s))
+
+    def logit(x: float) -> float:
+        if not lo_f < x < hi_f:
+            return -math.inf if x <= lo_f else math.inf
+        return math.log((x - lo_f) / (hi_f - x))
+
+    beta, iters = 0.0, 0
+    e, var, log_zeta = evaluate(beta)
+    lo, hi = -math.inf, math.inf
+    while abs(e - F) > tol:
+        if e < F:
+            lo = beta
+        else:
+            hi = beta
+        if hi - lo <= 1e-12 or iters >= max_iter:
+            raise RuntimeError(f"reference solve stalled at beta = {beta!r}")
+        gap = (e - lo_f) * (hi_f - e)
+        step = math.nan
+        if gap > 0.0 and var > 0.0:
+            step = (logit(F) - logit(e)) * gap / (var * (hi_f - lo_f))
+        if not step * (F - e) > 0.0:
+            step = math.copysign(math.inf, F - e)
+        if math.isinf(lo) or math.isinf(hi):
+            limit = max(1.0, 2.0 * abs(beta))
+            step = min(max(step, -limit), limit)
+        nxt = beta + step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt) > beta_cap:
+            if abs(beta) == beta_cap:
+                raise RuntimeError(f"reference solve found no bracket at beta = {beta!r}")
+            nxt = math.copysign(beta_cap, nxt)
+        beta = nxt
+        e, var, log_zeta = evaluate(beta)
+        iters += 1
+    return beta, log_zeta, iters
+
+
+def _format_float_reference(x: float) -> str:
+    s = format(x, ".17g")
+    if "." in s or "e" in s:
+        return s
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x!r} cannot be serialized")
+    return s + ".0"
+
+
+def dumps_canonical_reference(obj, indent: int = 0) -> str:
+    """The canonical JSON emitter, one value at a time, as the package wrote it
+    before its float lists took one format call: the text it must keep."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _format_float_reference(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{json.dumps(str(k))}: {dumps_canonical_reference(v, indent + 1)}"
+            for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(v) is float for v in obj):
+            return "[" + ", ".join(map(_format_float_reference, obj)) + "]"
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
+            return "[" + ", ".join(dumps_canonical_reference(v) for v in obj) + "]"
+        items = ",\n".join(f"{inner}{dumps_canonical_reference(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

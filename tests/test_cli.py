@@ -34,6 +34,8 @@ from maxent_agents.fileio import (
 )
 from maxent_agents.simplex import NODE_BUDGET
 
+from oracles import dumps_canonical_reference
+
 
 CONFIG = {
     "k": 3,
@@ -114,6 +116,30 @@ class TestSerialization:
     def test_rejects_non_finite_in_lists(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             dumps_canonical({"x": [1.0, bad]})
+        for floats in ([0.5, bad], [bad, 0.25], [0.1] * 20 + [bad]):  # no integral value
+            with pytest.raises(ValueError, match="non-finite"):
+                dumps_canonical({"x": [float(v) for v in floats]})
+
+    def test_matches_reference_emitter(self):
+        # Integral, signed-zero, subnormal and huge values force the per-value
+        # path inside a list; lists without them take one format call.
+        special = [0.0, -0.0, 3.0, 1e16, 1e17, 5e-324, 1e300]
+        rng = np.random.default_rng(5)
+        plain = [float(v) for v in rng.normal(size=50)]
+        shared = tuple(float(v) for v in rng.uniform(size=100))
+        payload = {
+            "plain": plain,
+            "shared": shared,
+            "tiny": [5e-324, 2.5e-310, -1e-300, 1.5e-7, 123456.789],
+            "special": special,
+            "each": [[x] for x in special],
+            "first": [[x, 0.1, 0.2] for x in special],
+            "last": [plain[:3] + [x] for x in special],
+            "agents": [{"agent": i, "a": shared, "b": [0.5, x], "c": x}
+                       for i, x in enumerate(special)],
+            "rows": [list(shared), list(shared)],
+        }
+        assert dumps_canonical(payload) == dumps_canonical_reference(payload)
 
     def test_frozen_payload(self):
         payload = {
@@ -193,6 +219,34 @@ class TestSerialization:
         )
         text = dumps_canonical(config.to_payload())
         assert ExperimentConfig.from_payload(json.loads(text)) == config
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["network", "--config", "c.json", "--out", "o.json"], id="missing-counts"),
+        pytest.param(["network", "--config", "c.json", "--counts", "n.json", "--out", "o.json",
+                      "--bogus"], id="unknown-flag"),
+        pytest.param(["infer", "--config", "c.json", "--counts", "n.json", "--out", "o.json",
+                      "--grid", "abc"], id="grid-abc"),
+        pytest.param(["roll"], id="unknown-command"),
+        pytest.param([], id="no-command"),
+    ])
+    def test_malformed_command_line_is_input_error(self, capsys, argv):
+        # Exit 2 means an infeasible constraint; a bad command line is input.
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "usage: maxent-agents" in err and "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: maxent-agents" in capsys.readouterr().out
+
+    def test_process_exit_code(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-m", "maxent_agents.cli", "network",
+                               "--grid", "abc"], env=env, capture_output=True, text=True)
+        assert done.returncode == 4
+        assert "error:" in done.stderr and "Traceback" not in done.stderr
 
 
 class TestSimulate:
@@ -547,6 +601,23 @@ class TestNetworkCmd:
         assert div.shape == (3, 3)
         assert div.max() <= 1e-8
 
+    def test_grid_output_independent_of_blas_threads(self, tmp_path):
+        # Weighted sums over the grid are taken in a fixed order, so the
+        # record is the same bytes however many threads BLAS uses.
+        config = write_config(tmp_path / "c.json", round=0, engine={"grid": 240})
+        counts = tmp_path / "counts.json"
+        write_payload(counts, COUNTS)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"net{threads}.json"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "maxent_agents.cli", "network",
+                            "--config", str(config), "--counts", str(counts), "--out", str(out)],
+                           env=env, capture_output=True, check=True)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_round0_disagreement(self, tmp_path):
         config = write_config(tmp_path / "c.json", round=0, engine={"grid": 240})
         out = tmp_path / "net0.json"
@@ -673,7 +744,7 @@ class TestSweepBeta:
         assert len(lines) == 17
         for line in lines:
             beta, lz, ef, _ = (float(v) for v in line.split(","))
-            assert lz == _TiltedFamily(prior, view, spec, engine).log_zeta(beta)
+            assert lz == _TiltedFamily(prior, view, spec, engine).tilt(beta)[1]
             assert ef == _TiltedFamily(prior, view, spec, engine).expected_f(beta)
 
     def test_mc_sweep_bins_no_nodes(self, tmp_path, monkeypatch):

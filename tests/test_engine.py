@@ -22,7 +22,8 @@ from maxent_agents import (
     solve_beta,
 )
 from maxent_agents import simplex as simplex_module
-from maxent_agents.engine import BETA_CAP, MARGINAL_BINS, EngineRangeError, _TiltedFamily
+from maxent_agents.engine import (BETA_CAP, MARGINAL_BINS, EngineRangeError, _TiltedFamily,
+                                  grid_levels)
 from maxent_agents.simplex import NODE_BUDGET, NodeBudgetError, NodeSet, marginal_bins
 
 from oracles import (
@@ -30,9 +31,11 @@ from oracles import (
     assert_row_sums_close,
     dirichlet_log_rel,
     entropy_functional,
+    level_log_mass,
     nodes_with_zeros,
     power_product_full,
     power_terms,
+    solve_beta_nodes,
     tilted_flat_posterior,
 )
 
@@ -47,7 +50,7 @@ LOG_ZETA_HALF_960 = -4.1775656338506488
 
 
 def log_zeta(prior, view, spec, beta, engine):
-    return _TiltedFamily(prior, view, spec, engine).log_zeta(beta)
+    return _TiltedFamily(prior, view, spec, engine).tilt(beta)[1]
 
 
 def expected_f(prior, view, spec, beta, engine):
@@ -84,11 +87,11 @@ class TestSpecs:
         fam = _TiltedFamily(FLAT3, AgentView.empty(3, 0), BIAS, GridEngine(3, 10))
         with pytest.raises(ValueError, match="residual"):
             SolvedConstraint(
-                spec=BIAS, beta=0.0, log_zeta=0.0, residual=1e-3, tol=1e-9, family=fam,
-                weights=fam.posterior_weights(0.0),
+                spec=BIAS, beta=0.0, log_zeta=0.0, expected_f=1e-3, tol=1e-9, family=fam,
+                weights=fam.tilt(0.0)[0],
             )
         with pytest.raises(TypeError, match="family"):
-            SolvedConstraint(spec=BIAS, beta=0.0, log_zeta=0.0, residual=0.0, tol=1e-9)
+            SolvedConstraint(spec=BIAS, beta=0.0, log_zeta=0.0, expected_f=0.0, tol=1e-9)
 
 
 class TestPriorDensity:
@@ -213,13 +216,13 @@ class TestSolveBeta:
         # Feasible in exact arithmetic, but the r=30 nodes only reach
         # <f> < 0.9367; the solve says so before taking any step.
         calls = []
-        tilt = _TiltedFamily.tilt
+        level_moments = _TiltedFamily.level_moments
 
         def counting(self, beta):
             calls.append(beta)
-            return tilt(self, beta)
+            return level_moments(self, beta)
 
-        monkeypatch.setattr(_TiltedFamily, "tilt", counting)
+        monkeypatch.setattr(_TiltedFamily, "level_moments", counting)
         view = AgentView.full(CountVector.of([5, 3, 2]))
         target = ConstraintSpec.of([1, 0, -2], 0.999999999999)
         with pytest.raises(EngineRangeError,
@@ -246,7 +249,7 @@ class TestNewtonSolve:
                         ref = brentq(lambda b: fam.expected_f(b) - F, -BETA_CAP, BETA_CAP,
                                      xtol=1e-13, rtol=1e-15)
                         # The stop rule pins <f> to tol, which pins beta to tol / Var f.
-                        _, var = fam.moments_f(fam.posterior_weights(ref))
+                        _, var = fam.level_moments(ref)
                         assert abs(solved.beta - ref) <= 1e-10 + solved.tol / var
                         assert solved.iterations <= 12
 
@@ -264,6 +267,64 @@ class TestNewtonSolve:
         model = posterior(solved)
         assert calls == [view]
         assert posterior_summary(model).expected_f == pytest.approx(0.0, abs=1e-9)
+
+
+class TestLevelSolve:
+    """The Newton loop runs on f's levels; its beta and log zeta must equal a
+    loop over every node, and every level's folded mass must be exact."""
+
+    def assert_matches_node_loop(self, solved):
+        fam = solved.family
+        beta, log_zeta, iters = solve_beta_nodes(fam.a, fam.f, solved.spec.F)
+        # Near beta = 0 a roundoff in <f> moves beta by about 1e-16 / Var f.
+        assert solved.beta == pytest.approx(beta, rel=1e-12, abs=1e-12)
+        assert solved.log_zeta == pytest.approx(log_zeta, rel=1e-12, abs=1e-12)
+        assert solved.iterations == iters
+        assert solved.residual <= solved.tol
+
+    @pytest.mark.parametrize("counts, F, beta_sign", [
+        pytest.param([2000, 0, 0], -1.0, -1, id="2000-0-0"),
+        pytest.param([0, 0, 500], 0.5, 1, id="0-0-500"),
+    ])
+    def test_extreme_views(self, eng240, counts, F, beta_sign):
+        # beta is in the thousands: most levels hold mass below 1e-290 of the
+        # peak, and a fold against one global peak loses them (<f> comes out
+        # 0.072 instead of -1 on the first case).
+        view = AgentView.full(CountVector.of(counts))
+        solved = solve_beta(FLAT3, view, ConstraintSpec.of(BIAS.f, F), eng240)
+        assert beta_sign * solved.beta > 1000.0
+        self.assert_matches_node_loop(solved)
+        fam = solved.family
+        values, masses = level_log_mass(fam.a, fam.f)
+        np.testing.assert_array_equal(fam.levels, values)
+        np.testing.assert_allclose(fam.level_a, masses, rtol=1e-13)
+
+    @pytest.mark.parametrize("engine", [GridEngine(3, 240), McEngine(3, 20_000, 3)],
+                             ids=["grid", "mc"])
+    def test_view_ladder(self, engine):
+        counts = CountVector.of([5, 3, 2])
+        specs = [ConstraintSpec.of(BIAS.f, F) for F in (-1.0, -0.5, 0.0, 0.5)]
+        specs += [ConstraintSpec.of([0.5, 0.5, 0.5], 0.5), ConstraintSpec.none(3)]
+        for r in range(4):
+            for sides in itertools.combinations((1, 2, 3), r):
+                view = AgentView.from_mapping(3, 10, {s: counts.counts[s - 1] for s in sides})
+                for spec in specs:
+                    solved = solve_beta(FLAT3, view, spec, engine)
+                    self.assert_matches_node_loop(solved)
+                    if spec.is_constant:
+                        assert solved.beta == 0.0
+
+    def test_grouping_computed_once_per_grid_and_f(self):
+        f = (1.0, 0.25, -2.0)  # an f no other test uses, so its first fit misses
+        engine = GridEngine(3, 60)
+        before = grid_levels.cache_info()
+        fams = [solve_beta(FLAT3, AgentView.full(CountVector.of(m)),
+                           ConstraintSpec.of(f, 0.0), engine).family
+                for m in ([5, 3, 2], [1, 8, 1], [0, 0, 10])]
+        after = grid_levels.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+        assert all(fam.levels is fams[0].levels and fam.f is fams[0].f for fam in fams)
+        assert fams[0].levels.size < fams[0].f.size
 
 
 class TestPosterior:
@@ -377,8 +438,8 @@ class TestOnePass:
         solved = solve_beta(FLAT3, view, BIAS, engine)
         fam, beta = solved.family, solved.beta
         assert beta != 0.0
-        np.testing.assert_array_equal(solved.weights, fam.posterior_weights(beta))
-        assert solved.log_zeta == fam.log_zeta(beta)
+        np.testing.assert_array_equal(solved.weights, fam.tilt(beta)[0])
+        assert solved.log_zeta == fam.tilt(beta)[1]
         t = fam.a + beta * fam.f
         w = np.exp(t - t.max())
         np.testing.assert_array_equal(solved.weights, w / w.sum())
@@ -476,7 +537,7 @@ class TestMcEngineEndToEnd:
 def histogram_marginals(model):
     """np.histogram's marginal tables for a model, scaled to densities."""
     fam = model.family
-    w = fam.posterior_weights(model.beta)
+    w = fam.tilt(model.solved.beta)[0]
     theta = fam.nodes.nodes
     return tuple(
         tuple(np.histogram(theta[:, i], bins=MARGINAL_BINS, range=(0.0, 1.0),
