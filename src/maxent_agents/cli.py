@@ -22,14 +22,8 @@ import time
 from dataclasses import replace
 from typing import Any
 
-from .engine import (
-    ConstraintSpec,
-    ConvergenceError,
-    InfeasibleConstraintError,
-    PriorSpec,
-    me_entropy,
-    tilt_table,
-)
+from .engine import (MARGINAL_ABSCISSA, Belief, ConstraintSpec, ConvergenceError,
+                     InfeasibleConstraintError, PriorSpec, me_entropy, tilt_table)
 from .fileio import (
     EngineSettings,
     ExperimentConfig,
@@ -43,7 +37,7 @@ from .fileio import (
     write_sweep_csv,
 )
 from .multinomial import AgentView, CountVector, simulate_rolls
-from .network import BeliefEntry, belief_divergence, fit_view, infer_all
+from .network import belief_divergence, fit_view, infer_all
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -145,20 +139,20 @@ def _parse_view(text: str | None, counts: CountVector) -> AgentView:
     )
 
 
-def _agent_payload(entry: BeliefEntry, s_me: float) -> dict:
-    solved, summary = entry.model.solved, entry.summary
+def _agent_payload(belief: Belief, s_me: float) -> dict:
+    solved = belief.solved
     return {
-        "view": view_to_payload(entry.view),
+        "view": view_to_payload(belief.view),
         "beta": solved.beta,
         "log_zeta": solved.log_zeta,
         "residual": solved.residual,
         "s_me": s_me,
-        "expected_f": summary.expected_f,
-        "normalization": summary.normalization,
-        "means": list(summary.means),
-        "variances": list(summary.variances),
-        "marginal_abscissa": summary.marginal_abscissa,  # one shared tuple: formatted once
-        "marginals": [list(row) for row in summary.marginals],
+        "expected_f": solved.expected_f,
+        "normalization": belief.normalization,
+        "means": list(belief.means),
+        "variances": list(belief.variances),
+        "marginal_abscissa": MARGINAL_ABSCISSA,  # one shared tuple: formatted once
+        "marginals": [list(row) for row in belief.marginals],
     }
 
 
@@ -176,14 +170,14 @@ def cmd_infer(args: argparse.Namespace) -> int:
     config, counts, prior, constraint, engine = _problem(args)
     view = _parse_view(args.view, counts)
     t0 = time.perf_counter()
-    entry = fit_view(prior, view, constraint, engine)
-    s_me = me_entropy(entry.model)
+    belief = fit_view(prior, view, constraint, engine)
+    s_me = me_entropy(belief)
     elapsed = time.perf_counter() - t0
-    solved = entry.model.solved
+    solved = belief.solved
     record = {
         "config": config.to_payload(),
         "counts": list(counts.counts),
-        "agents": [_agent_payload(entry, s_me)],
+        "agents": [_agent_payload(belief, s_me)],
         "meta": {
             "engine": engine.descriptor(),
             "solver_iterations": [solved.iterations],
@@ -202,14 +196,14 @@ def cmd_network(args: argparse.Namespace) -> int:
     table = infer_all(net, counts, config.round, prior, constraint, engine)
     agents_payload = []
     iterations = []
-    bodies = {}  # model -> agent body; agents sharing a fit share one body
+    bodies = {}  # belief -> agent body, keyed by identity; agents sharing a fit share one
     for agent in range(1, net.k + 1):
         if agent in table.entries:
-            entry = table.entries[agent]
-            if entry.model not in bodies:
-                bodies[entry.model] = _agent_payload(entry, me_entropy(entry.model))
-            agents_payload.append({"agent": agent, **bodies[entry.model]})
-            iterations.append(entry.model.solved.iterations)
+            belief = table.entries[agent]
+            if belief not in bodies:
+                bodies[belief] = _agent_payload(belief, me_entropy(belief))
+            agents_payload.append({"agent": agent, **bodies[belief]})
+            iterations.append(belief.solved.iterations)
         else:
             agents_payload.append({"agent": agent, "error": str(table.errors[agent])})
     ok_agents = sorted(table.entries)
@@ -255,7 +249,8 @@ def cmd_sweep_beta(args: argparse.Namespace) -> int:
     if args.beta_max < args.beta_min:
         raise ValueError("beta range is empty")
     span = (args.beta_max - args.beta_min) / args.beta_step  # may overflow to inf
-    n_rows = round(span) + 1 if math.isfinite(span) else math.inf
+    # The last row is the largest i with beta_min + i * step <= beta_max, up to roundoff.
+    n_rows = math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
     if n_rows > MAX_SWEEP_ROWS:
         raise ValueError(f"beta range gives {n_rows} rows, more than {MAX_SWEEP_ROWS}")
     betas = [args.beta_min + i * args.beta_step for i in range(n_rows)]

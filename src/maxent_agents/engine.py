@@ -18,10 +18,12 @@ every posterior integrates to exactly 1 under the engine that built it and
 tilt expectations are ratios of sums sharing one set of nodes.  All
 densities are handled in log space; the beta-independent part of the
 log-integrand is computed once per (prior, view, engine), reused across
-every beta the solver visits, and kept on the fitted SolvedConstraint, which
-is the only input `posterior` takes.  Newton runs on f's levels, its distinct
-values (cached per grid and f; a Monte-Carlo draw's nodes are its levels), each
-fit folding its nodes onto them once; one node pass at the final beta follows.
+every beta the solver visits, and kept on the fitted SolvedConstraint.  Newton
+runs on f's levels, its distinct values (cached per grid and f; a Monte-Carlo
+draw's nodes are its levels), each fit folding its nodes onto them once; one
+node pass at the final beta follows.  A fit goes SolvedConstraint ->
+`posterior`'s node masses -> `posterior_summary`'s Belief, the one value that
+holds the solve, the masses and the summary.
 
 With no data the result is the exponentially tilted prior (pure moment
 matching); with beta = 0 it is the conjugate Dirichlet update.  The
@@ -29,8 +31,8 @@ maximized relative entropy of the update is s_me = log zeta - beta*F under
 this sign convention (the posterior carries e^{+beta f}).
 
 Solves are single-threaded at the iteration level (node evaluation is
-vectorized); PriorSpec, SolvedConstraint and PosteriorModel values are
-immutable and safe to share across threads.
+vectorized); PriorSpec, SolvedConstraint and Belief values are immutable
+and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -145,28 +147,24 @@ class ConstraintSpec:
 class SolvedConstraint:
     """A fitted multiplier: beta, the log normalizer and <f> under the kept
     weights, with the tilted family it was fitted on (prior, view, constraint
-    and the engine's node set), from which `posterior` builds the model, and
+    and the engine's node set), from which `posterior` weighs the nodes, and
     the read-only normalized node weights of the pass that gave log_zeta.
     """
 
-    spec: ConstraintSpec
     beta: float
     log_zeta: float
     expected_f: float
-    tol: float
     family: _TiltedFamily = field(repr=False, compare=False)
     weights: np.ndarray = field(repr=False, compare=False)
     iterations: int = 0
 
     def __post_init__(self) -> None:
-        if not self.residual <= self.tol:
-            raise ValueError(
-                f"residual {self.residual!r} exceeds solver tolerance {self.tol!r}"
-            )
+        if not self.residual <= SOLVER_TOL:
+            raise ValueError(f"residual {self.residual!r} exceeds solver tolerance {SOLVER_TOL!r}")
 
     @property
     def residual(self) -> float:
-        return abs(self.expected_f - self.spec.F)
+        return abs(self.expected_f - self.family.spec.F)
 
 
 class GridEngine:
@@ -242,7 +240,7 @@ class McEngine:
 def grid_levels(grid: NodeSet, f: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     """(f at each node, its distinct values in increasing order, each node's
     level index): the nodes grouped by the exact float value of f, cached."""
-    values = ConstraintSpec(f, 0.0).f_values(grid.nodes)
+    values = grid.nodes @ np.asarray(f)
     out = (values, *np.unique(values, return_inverse=True))
     for arr in out:
         arr.flags.writeable = False
@@ -310,9 +308,6 @@ class _TiltedFamily:
         t /= s
         t.flags.writeable = False
         return t, float(m + np.log(s))
-
-    def expected_f(self, beta: float) -> float:
-        return self.mean_f(self.tilt(beta)[0])
 
     def mean_f(self, w: np.ndarray) -> float:
         """<f> under the normalized node weights w, in a fixed order (no BLAS)."""
@@ -434,28 +429,42 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
         resid = abs(e - F)
         iters += 1
     w, log_zeta = fam.tilt(beta)
-    return SolvedConstraint(
-        spec=constraint, beta=beta, log_zeta=log_zeta, expected_f=fam.mean_f(w),
-        tol=SOLVER_TOL, family=fam, weights=w, iterations=iters,
-    )
+    return SolvedConstraint(beta=beta, log_zeta=log_zeta, expected_f=fam.mean_f(w),
+                            family=fam, weights=w, iterations=iters)
+
+
+def posterior(solved: SolvedConstraint) -> np.ndarray:
+    """The read-only node masses exp(a + beta f - log zeta) of a fitted multiplier:
+    the normalized posterior's engine mass on each node of the family the solve
+    fitted on.  For a posterior without a moment constraint, solve
+    `ConstraintSpec.none(k)` (beta = 0).
+    """
+    fam = solved.family
+    mass = np.exp(fam.a + solved.beta * fam.f - solved.log_zeta)
+    mass.flags.writeable = False
+    return mass
 
 
 @dataclass(frozen=True, eq=False)
-class PosteriorModel:
-    """Normalized posterior density over theta (relative to the flat reference);
-    `node_mass` is exp(a + beta f - log zeta), its engine mass on each node."""
+class Belief:
+    """One fitted update: the solve, its node masses (see `posterior`) and the
+    cheap-to-serialize summary of the posterior under its engine."""
 
     solved: SolvedConstraint
     node_mass: np.ndarray = field(repr=False)
+    means: tuple[float, ...]
+    variances: tuple[float, ...]
+    normalization: float
+    marginals: tuple[tuple[float, ...], ...]
 
     @property
-    def family(self) -> _TiltedFamily:
-        return self.solved.family
+    def view(self) -> AgentView:
+        return self.solved.family.view
 
     def log_density_at(self, points: np.ndarray, log_points: np.ndarray) -> np.ndarray:
         """log posterior density (relative to the flat reference) at an (N, k)
         array of points, given their (k, N) log columns."""
-        fam = self.family
+        fam = self.solved.family
         return (
             fam.prior.log_rel_density(log_points)
             + view_log_likelihood_nodes(fam.view, points, log_points)
@@ -464,64 +473,31 @@ class PosteriorModel:
         )
 
 
-def posterior(solved: SolvedConstraint) -> PosteriorModel:
-    """Build the normalized posterior for a fitted multiplier.
+def posterior_summary(solved: SolvedConstraint, node_mass: np.ndarray) -> Belief:
+    """The belief of a fit: component means/variances, normalization check
+    (the sum of `node_mass`), marginal tables.
 
-    Prior, view, constraint and node set are those of the tilted family the
-    solve fitted on; the model wraps that family.  For a posterior without
-    a moment constraint, solve `ConstraintSpec.none(k)` (beta = 0).  The
-    node masses exp(a + beta f - log zeta) are evaluated here, once.
+    Marginals are per-component density estimates on the fixed abscissa
+    MARGINAL_ABSCISSA of bin centers over [0, 1] (bin mass divided by bin
+    width), suitable for plotting; bin masses equal `np.histogram`'s bit for bit.
     """
-    fam = solved.family
-    mass = np.exp(fam.a + solved.beta * fam.f - solved.log_zeta)
-    mass.flags.writeable = False
-    return PosteriorModel(solved=solved, node_mass=mass)
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Cheap-to-serialize summary of a posterior under its engine."""
-
-    means: tuple[float, ...]
-    variances: tuple[float, ...]
-    expected_f: float
-    normalization: float
-    marginal_abscissa: tuple[float, ...]
-    marginals: tuple[tuple[float, ...], ...]
-
-
-def posterior_summary(model: PosteriorModel) -> PosteriorSummary:
-    """Component means/variances, <f>, normalization check, marginal tables.
-
-    Marginals are per-component density estimates on a fixed abscissa grid
-    of bin centers over [0, 1] (bin mass divided by bin width), suitable
-    for plotting; bin masses equal `np.histogram`'s bit for bit.
-    """
-    fam = model.family
-    theta = fam.nodes.nodes
-    w = model.solved.weights
-    means = theta.T @ w
-    second = (theta**2).T @ w
+    nodes, w = solved.family.nodes, solved.weights
+    means = nodes.nodes.T @ w
+    second = (nodes.nodes**2).T @ w
     variances = np.maximum(second - means**2, 0.0)
     # Engine expectation of the normalized density; exactly 1 up to roundoff
     # because the normalizer is the same engine sum.
-    normalization = float(np.sum(model.node_mass))
+    normalization = float(np.sum(node_mass))
     marginals = []
-    for side in fam.nodes.bins:  # one bincount per np.histogram block, added in its order
+    for side in nodes.bins:  # one bincount per np.histogram block, added in its order
         mass = sum(np.bincount(side[i:i + BLOCK], w[i:i + BLOCK], MARGINAL_BINS)
                    for i in range(0, w.size, BLOCK))
         marginals.append(tuple((mass * MARGINAL_BINS).tolist()))
-    return PosteriorSummary(
-        means=tuple(float(v) for v in means),
-        variances=tuple(float(v) for v in variances),
-        expected_f=model.solved.expected_f,
-        normalization=normalization,
-        marginal_abscissa=MARGINAL_ABSCISSA,
-        marginals=tuple(marginals),
-    )
+    return Belief(solved, node_mass, tuple(means.tolist()), tuple(variances.tolist()),
+                  normalization, tuple(marginals))
 
 
-def me_entropy(model: PosteriorModel) -> float:
+def me_entropy(belief: Belief) -> float:
     """Entropy of the update: s_me = log zeta - beta * F.
 
     The value is checked against a direct node-wise evaluation of
@@ -529,10 +505,10 @@ def me_entropy(model: PosteriorModel) -> float:
     disagreement beyond 1e-6 raises, since that indicates a broken solve.
     A positive s_me beyond roundoff raises too: it is a negated divergence.
     """
-    solved = model.solved
-    s_me = solved.log_zeta - solved.beta * solved.spec.F
-    log_p_over_ref = solved.beta * model.family.f - solved.log_zeta
-    direct = -float(model.node_mass @ log_p_over_ref)
+    solved = belief.solved
+    s_me = solved.log_zeta - solved.beta * solved.family.spec.F
+    log_p_over_ref = solved.beta * solved.family.f - solved.log_zeta
+    direct = -float(belief.node_mass @ log_p_over_ref)
     if abs(s_me - direct) > 1e-6:
         raise ConvergenceError(
             f"entropy identity violated: log_zeta - beta*F = {s_me!r} but the "

@@ -26,7 +26,7 @@ from typing import Any
 from .engine import DEFAULT_MC_SAMPLES, DEFAULT_RESOLUTION, ConstraintSpec, GridEngine, McEngine
 from .multinomial import AgentView, CountVector
 from .network import AgentNetwork, complete_network, explicit_network, triangle_lattice_network
-from .simplex import ThetaPoint
+from .simplex import NODE_BUDGET, ThetaPoint
 
 
 def _format_float(x: float) -> str:
@@ -144,6 +144,12 @@ class EngineSettings:
     def __post_init__(self) -> None:
         if self.grid is not None and self.mc_samples is not None:
             raise ValueError("choose either a grid resolution or mc_samples, not both")
+        if self.grid is not None and self.grid < 1:
+            raise ValueError("config engine.grid or --grid: the grid resolution r must be >= 1, "
+                             f"got {self.grid}")
+        if self.mc_samples is not None and self.mc_samples < 2:
+            raise ValueError("config engine.mc_samples or --mc-samples: Monte-Carlo samples "
+                             f"must be >= 2, got {self.mc_samples}")
         if self.mc_seed < 0:
             raise ValueError(f"config engine.mc_seed must be >= 0, got {self.mc_seed}")
 
@@ -178,12 +184,13 @@ class EngineSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs: die, prior, constraint, network, engine."""
+    """Everything one experiment needs: die, prior, constraint, network, engine.
+    A missing prior is the flat one, built once k is checked."""
 
     k: int
     n: int
     seed: int
-    prior: tuple[float, ...]
+    prior: tuple[float, ...] | None = None
     constraint: ConstraintSpec | None = None
     theta_true: tuple[float, ...] | None = None
     network: dict | None = None
@@ -193,6 +200,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError("k must be >= 2")
+        if self.k > NODE_BUDGET:  # a grid has at least k nodes, a Monte-Carlo draw 2k coordinates
+            raise ValueError(f"config k must be <= {NODE_BUDGET}, the node budget, got {self.k}")
+        if self.prior is None:
+            object.__setattr__(self, "prior", (1.0,) * self.k)
         if self.n < 0:
             raise ValueError("n must be >= 0")
         if self.seed < 0:
@@ -215,16 +226,25 @@ class ExperimentConfig:
         def field(key: str, default: Any = None, kind: Any = int):
             return as_field(spec.get(key, default), f"config network.{key}", kind)
 
+        def agents(size: int, named: str) -> int:
+            """`size`, refused before a graph of that many agents is built unless it is k."""
+            if size != self.k:
+                raise ValueError(f"config {named} gives {size} agents, but config k is {self.k}")
+            return size
+
         if preset == "complete":
-            return complete_network(field("k", self.k))
+            return complete_network(agents(field("k", self.k), "network.k"))
         if preset == "triangle-lattice":
-            return triangle_lattice_network(field("rows"), field("cols"))
+            rows, cols = field("rows"), field("cols")
+            agents(rows * cols, "network.rows * network.cols")
+            return triangle_lattice_network(rows, cols)
         if preset == "explicit":
+            k = agents(field("k", self.k), "network.k")
             edges = field("edges", [], [[int]])
             for edge in edges:
                 if len(edge) != 2:
                     raise ValueError(f"config network.edges entry {edge} is not a pair of agents")
-            return explicit_network(field("k", self.k), edges)
+            return explicit_network(k, edges)
         raise ValueError(
             f"unknown network preset {preset!r}; use complete, triangle-lattice or explicit"
         )
@@ -259,12 +279,11 @@ class ExperimentConfig:
             return as_field(owner.get(leaf, default), f"config {key}", kind)
 
         c, network, theta = (payload.get(key) for key in ("constraint", "network", "theta_true"))
-        k = field("k")
         return cls(
-            k=k,
+            k=field("k"),
             n=field("n"),
             seed=field("seed", 0),
-            prior=tuple(field("prior", [1.0] * k, [float])),
+            prior=tuple(field("prior", kind=[float])) if "prior" in payload else None,
             constraint=None if c is None else ConstraintSpec.of(
                 field("constraint.f", kind=[float]), field("constraint.F", kind=float)),
             theta_true=None if theta is None else tuple(field("theta_true", kind=[float])),

@@ -6,8 +6,8 @@ target, and it sees the counts of every side watched within graph
 distance `round` of itself (round 0: own side only; round 1: own side plus
 direct neighbors; a round at least the graph diameter reveals everything).
 Every agent runs the same inference engine on its own view.  Agents with
-identical views share one fit (one beta solve, one posterior model, one
-summary), so their beliefs are the same object and their divergence is
+identical views share one fit (one beta solve, one set of node masses, one
+`Belief`), so their beliefs are the same object and their divergence is
 exactly 0.  Fits touch only immutable shared inputs and results are
 collected in agent-index order.
 """
@@ -18,15 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .engine import (
-    ConstraintSpec,
-    PosteriorModel,
-    PosteriorSummary,
-    PriorSpec,
-    posterior,
-    posterior_summary,
-    solve_beta,
-)
+from .engine import Belief, ConstraintSpec, PriorSpec, posterior, posterior_summary, solve_beta
 from .multinomial import AgentView, CountVector
 
 
@@ -120,26 +112,19 @@ def views_at_round(net: AgentNetwork, counts: CountVector, round: int) -> dict[i
     return views
 
 
-@dataclass(frozen=True)
-class BeliefEntry:
-    view: AgentView
-    model: PosteriorModel
-    summary: PosteriorSummary
-
-
 def fit_view(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
-             engine) -> BeliefEntry:
+             engine) -> Belief:
     """The one fit path from (prior, view, constraint, engine) to a belief:
-    the beta solve, its posterior and the posterior's summary."""
-    model = posterior(solve_beta(prior, view, constraint, engine))
-    return BeliefEntry(view=view, model=model, summary=posterior_summary(model))
+    the beta solve, its node masses and the belief that summarizes them."""
+    solved = solve_beta(prior, view, constraint, engine)
+    return posterior_summary(solved, posterior(solved))
 
 
 @dataclass(frozen=True, eq=False)
 class BeliefTable:
     """Per-agent inference results; failed agents land in `errors`."""
 
-    entries: Mapping[int, BeliefEntry]
+    entries: Mapping[int, Belief]
     errors: Mapping[int, Exception]
 
 
@@ -153,8 +138,8 @@ def infer_all(net: AgentNetwork, counts: CountVector, round: int, prior: PriorSp
     its own copy of the exception, prefixed with its agent index.
     """
     views = views_at_round(net, counts, round)
-    fits: dict[AgentView, BeliefEntry | Exception] = {}
-    entries: dict[int, BeliefEntry] = {}
+    fits: dict[AgentView, Belief | Exception] = {}
+    entries: dict[int, Belief] = {}
     errors: dict[int, Exception] = {}
     for agent in range(1, net.k + 1):
         view = views[agent]
@@ -164,7 +149,7 @@ def infer_all(net: AgentNetwork, counts: CountVector, round: int, prior: PriorSp
             except Exception as exc:  # noqa: BLE001 - per-agent isolation is the contract
                 fits[view] = exc
         fit = fits[view]
-        if isinstance(fit, BeliefEntry):
+        if isinstance(fit, Belief):
             entries[agent] = fit
         else:
             errors[agent] = _agent_error(agent, fit)
@@ -182,21 +167,21 @@ def belief_divergence(table: BeliefTable, a: int, b: int) -> float:
     """Symmetrized relative entropy between two agents' posteriors.
 
     KL(p_a || p_b) + KL(p_b || p_a), each term evaluated under the node set
-    of the model whose expectation it is (its nodes and kept weights);
+    of the belief whose expectation it is (its nodes and kept weights);
     >= 0, and 0 exactly when the two densities coincide on all nodes;
     agents sharing one fit get 0.0 at once.
     """
     for agent in (a, b):
         if agent not in table.entries:
             raise KeyError(f"agent {agent} has no entry in the belief table")
-    ma, mb = table.entries[a].model, table.entries[b].model
-    if ma is mb:
+    pa, pb = table.entries[a], table.entries[b]
+    if pa is pb:
         return 0.0
 
-    def one_sided(p: PosteriorModel, q: PosteriorModel) -> float:
-        ns = p.family.nodes
+    def one_sided(p: Belief, q: Belief) -> float:
+        ns = p.solved.family.nodes
         log_p = p.log_density_at(ns.nodes, ns.log_nodes)
         log_q = q.log_density_at(ns.nodes, ns.log_nodes)
         return float((p.solved.weights * (log_p - log_q)).sum())  # fixed order, no BLAS
 
-    return one_sided(ma, mb) + one_sided(mb, ma)
+    return one_sided(pa, pb) + one_sided(pb, pa)

@@ -184,10 +184,10 @@ def tilted_flat_posterior(r: int, f_coeffs, target: float):
     return beta, nodes, log_norm
 
 
-def entropy_functional(model, prior_alpha, k: int, n: int, visible: dict[int, int],
+def entropy_functional(belief, prior_alpha, k: int, n: int, visible: dict[int, int],
                        nodes: np.ndarray) -> float:
     """-E[p log(p/p_ref)] by equal-weight quadrature, p_ref = prior * likelihood."""
-    log_p = model.log_density_at(nodes, log_columns(nodes))
+    log_p = belief.log_density_at(nodes, log_columns(nodes))
     log_ref = dirichlet_log_rel(prior_alpha, nodes) + view_loglik_aggregated(
         k, n, visible, nodes
     )

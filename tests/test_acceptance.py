@@ -30,6 +30,7 @@ from maxent_agents.cli import main
 from maxent_agents.engine import _TiltedFamily
 from maxent_agents.fileio import write_payload
 from maxent_agents.multinomial import view_log_likelihood_nodes
+from maxent_agents.network import fit_view
 
 from oracles import (
     log_columns,
@@ -80,9 +81,9 @@ def test_criterion_1_bayes_reduction(eng960):
                     break
             prior = PriorSpec.of(alpha)
             view = AgentView.full(CountVector.of(m))
-            model = posterior(solve_beta(prior, view, ConstraintSpec.none(3), eng960))
+            belief = fit_view(prior, view, ConstraintSpec.none(3), eng960)
             closed = dirichlet_log_rel(alpha + m, nodes)
-            rel = np.abs(np.expm1(model.log_density_at(nodes, log_columns(nodes)) - closed))
+            rel = np.abs(np.expm1(belief.log_density_at(nodes, log_columns(nodes)) - closed))
             assert rel.max() <= 1e-8, (case, alpha, m, rel.max())
 
 
@@ -92,12 +93,11 @@ def test_criterion_2_maxent_reduction(eng960):
         view = AgentView.empty(3, 0)
         solved = solve_beta(FLAT3, view, BIAS, eng960)
         assert solved.residual <= 1e-8
-        model = posterior(solved)
-        check = posterior_summary(model)
-        assert abs(check.expected_f - 0.0) <= 1e-8
+        belief = posterior_summary(solved, posterior(solved))
+        assert abs(belief.solved.expected_f - 0.0) <= 1e-8
         beta_o, nodes_o, log_norm_o = tilted_flat_posterior(960, [1.0, 0.0, -2.0], 0.0)
         oracle = beta_o * (nodes_o @ np.array([1.0, 0.0, -2.0])) - log_norm_o
-        rel = np.abs(np.expm1(model.log_density_at(nodes_o, log_columns(nodes_o)) - oracle))
+        rel = np.abs(np.expm1(belief.log_density_at(nodes_o, log_columns(nodes_o)) - oracle))
         assert rel.max() <= 1e-6, rel.max()
 
 
@@ -117,7 +117,8 @@ def test_criterion_3_simultaneous_constraint_satisfaction(eng240):
             view = AgentView.full(counts)
             solved = solve_beta(FLAT3, view, spec, eng240)
             assert solved.residual <= 1e-8
-            recomputed = _TiltedFamily(FLAT3, view, spec, eng240).expected_f(solved.beta)
+            fam = _TiltedFamily(FLAT3, view, spec, eng240)
+            recomputed = fam.mean_f(fam.tilt(solved.beta)[0])
             assert abs(recomputed - F) <= 1e-8, (case, f, F)
 
 
@@ -154,16 +155,15 @@ def test_criterion_5_student_scenario_end_to_end(eng240):
         nodes = eng240.grid.nodes
         for m1 in range(11):
             view = AgentView.from_mapping(3, 10, {1: m1})
-            solved = solve_beta(FLAT3, view, BIAS, eng240)
-            model = posterior(solved)
+            belief = fit_view(FLAT3, view, BIAS, eng240)
             form = (
-                solved.beta * (3.0 * nodes[:, 0] + 2.0 * nodes[:, 1] - 2.0)
+                belief.solved.beta * (3.0 * nodes[:, 0] + 2.0 * nodes[:, 1] - 2.0)
                 + m1 * np.log(nodes[:, 0])
                 + (10 - m1) * np.log(1.0 - nodes[:, 0])
             )
             top = form.max()
             direct = form - (top + np.log(np.mean(np.exp(form - top))))
-            rel = np.abs(np.expm1(model.log_density_at(nodes, log_columns(nodes)) - direct))
+            rel = np.abs(np.expm1(belief.log_density_at(nodes, log_columns(nodes)) - direct))
             assert rel.max() <= 1e-8, (m1, rel.max())
 
 
@@ -203,11 +203,13 @@ def test_criterion_7_lattice_views_bit_for_bit():
         for agent in interior:
             view = views[agent]
             solved = solve_beta(prior, view, spec, engine)
-            direct = posterior_summary(posterior(solved))
-            entry = table.entries[agent]
-            assert entry.model.solved.beta == solved.beta
-            assert entry.model.solved.log_zeta == solved.log_zeta
-            assert entry.summary == direct
+            direct = posterior_summary(solved, posterior(solved))
+            belief = table.entries[agent]
+            assert belief.solved.beta == solved.beta
+            assert belief.solved.log_zeta == solved.log_zeta
+            assert belief.solved.expected_f == solved.expected_f
+            assert ((belief.means, belief.variances, belief.normalization, belief.marginals)
+                    == (direct.means, direct.variances, direct.normalization, direct.marginals))
 
 
 def test_criterion_8_entropy_identity(eng240):
@@ -226,12 +228,11 @@ def test_criterion_8_entropy_identity(eng240):
             prior = PriorSpec.of(alpha)
             view = AgentView.full(counts)
             spec = ConstraintSpec.of(f, F)
-            solved = solve_beta(prior, view, spec, eng240)
-            model = posterior(solved)
-            s_me = me_entropy(model)
+            belief = fit_view(prior, view, spec, eng240)
+            s_me = me_entropy(belief)
             assert s_me <= 0.0
             direct = entropy_functional(
-                model, tuple(alpha), 3, n, dict(AgentView.full(counts).visible), nodes
+                belief, tuple(alpha), 3, n, dict(AgentView.full(counts).visible), nodes
             )
             assert abs(s_me - direct) <= 1e-6
 
@@ -251,7 +252,7 @@ def test_criterion_9_monotonicity_and_unique_root(eng240):
             while len(set(np.round(f, 6))) == 1:
                 f = rng.uniform(-2.0, 2.0, 3)
             fam = _TiltedFamily(FLAT3, view, ConstraintSpec.of(f, 0.0), eng240)
-            vals = [fam.expected_f(b) for b in ladder]
+            vals = [fam.mean_f(fam.tilt(b)[0]) for b in ladder]
             assert all(a < b for a, b in zip(vals, vals[1:]))
             F = f.min() + rng.uniform(0.2, 0.8) * (f.max() - f.min())
             solved = solve_beta(FLAT3, view, ConstraintSpec.of(f, F), eng240)

@@ -22,6 +22,7 @@ from maxent_agents import (
 )
 from maxent_agents import cli
 from maxent_agents import engine as engine_module
+from maxent_agents import fileio as fileio_module
 from maxent_agents import simplex as simplex_module
 from maxent_agents.cli import main
 from maxent_agents.engine import _TiltedFamily
@@ -378,9 +379,10 @@ class TestInfer:
         agent = record["agents"][0]
         v = agent["view"]
         view = AgentView.from_mapping(v["k"], v["n"], dict(v["visible"]))
-        value = _TiltedFamily(
+        fam = _TiltedFamily(
             PriorSpec.of(echoed.prior), view, echoed.constraint, echoed.engine.build(echoed.k),
-        ).expected_f(agent["beta"])
+        )
+        value = fam.mean_f(fam.tilt(agent["beta"])[0])
         assert abs(value - echoed.constraint.F) == pytest.approx(
             agent["residual"], abs=1e-15
         )
@@ -565,6 +567,52 @@ class TestInputChecks:
         assert code == 4
         assert err.startswith("error: ") and f"budget {NODE_BUDGET}" in err
 
+    @pytest.mark.parametrize("overrides, flags, named", [
+        pytest.param({"engine": {"grid": 0}}, [], "engine.grid or --grid", id="config-grid-0"),
+        pytest.param({}, ["--grid", "0"], "engine.grid or --grid", id="flag-grid-0"),
+        pytest.param({"engine": {"mc_samples": 1}}, [], "engine.mc_samples or --mc-samples",
+                     id="config-mc-samples-1"),
+        pytest.param({}, ["--mc-samples", "1"], "engine.mc_samples or --mc-samples",
+                     id="flag-mc-samples-1"),
+    ])
+    def test_engine_error_names_its_field(self, tmp_path, capsys, overrides, flags, named):
+        # Both used to name no field: "r must be >= 1", "samples must be >= 2".
+        config = write_config(tmp_path / "c.json", **overrides)
+        code, err = self._run(tmp_path, capsys, ["infer", "--config", str(config), *flags])
+        assert code == 4
+        assert err.startswith(f"error: config {named}: ")
+
+    @pytest.mark.parametrize("drop", [(), ("prior",)], ids=["with-prior", "default-prior"])
+    def test_huge_k_refused(self, tmp_path, capsys, drop):
+        # The default prior [1.0] * k used to be built first, even when a prior
+        # was given: an uncaught OverflowError at k = 10**30.
+        config = tmp_path / "c.json"
+        write_payload(config, {key: v for key, v in {**CONFIG, "k": 10**30}.items()
+                               if key not in drop})
+        code, err = self._run(tmp_path, capsys, ["network", "--config", str(config)])
+        assert code == 4
+        assert err == f"error: config k must be <= {NODE_BUDGET}, the node budget, got {10**30}\n"
+
+    @pytest.mark.parametrize("network, named", [
+        pytest.param({"preset": "triangle-lattice", "rows": 10**6, "cols": 10**6},
+                     f"network.rows * network.cols gives {10**12}", id="huge-lattice"),
+        pytest.param({"preset": "complete", "k": 10**30}, f"network.k gives {10**30}",
+                     id="huge-complete"),
+        pytest.param({"preset": "explicit", "k": 4, "edges": [[1, 2]]}, "network.k gives 4",
+                     id="explicit-k4"),
+    ])
+    def test_network_size_refused_before_build(self, tmp_path, capsys, monkeypatch, network,
+                                               named):
+        def no_graph(*args):
+            raise AssertionError("a graph was built")
+
+        for builder in ("complete_network", "triangle_lattice_network", "explicit_network"):
+            monkeypatch.setattr(fileio_module, builder, no_graph)
+        config = write_config(tmp_path / "c.json", network=network)
+        code, err = self._run(tmp_path, capsys, ["network", "--config", str(config)])
+        assert code == 4
+        assert err == f"error: config {named} agents, but config k is 3\n"
+
     def test_sweep_row_cap(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json")
         code, err = self._run(tmp_path, capsys, [
@@ -678,9 +726,9 @@ class TestNetworkCmd:
         seen = []
         entropy = cli.me_entropy
 
-        def counting_entropy(model):
-            seen.append(model)
-            return entropy(model)
+        def counting_entropy(belief):
+            seen.append(belief)
+            return entropy(belief)
 
         monkeypatch.setattr(cli, "me_entropy", counting_entropy)
         config = write_config(tmp_path / "c.json", round=round_, engine={"grid": 60})
@@ -745,7 +793,8 @@ class TestSweepBeta:
         for line in lines:
             beta, lz, ef, _ = (float(v) for v in line.split(","))
             assert lz == _TiltedFamily(prior, view, spec, engine).tilt(beta)[1]
-            assert ef == _TiltedFamily(prior, view, spec, engine).expected_f(beta)
+            fam = _TiltedFamily(prior, view, spec, engine)
+            assert ef == fam.mean_f(fam.tilt(beta)[0])
 
     def test_mc_sweep_bins_no_nodes(self, tmp_path, monkeypatch):
         # A node set builds its marginal bins on first use: a sweep writes no
@@ -767,6 +816,22 @@ class TestSweepBeta:
         assert binned == []
         assert main(["infer", *common, "--out", str(tmp_path / "i.json")]) == 0
         assert binned == [(2000, 3)]
+
+    @pytest.mark.parametrize("low, high, step, rows", [
+        ("0", "1", "0.6", 2),  # used to add 1.2, past --beta-max
+        ("0", "1.75", "0.5", 4),  # round(3.5) is 4: used to end at 2.0
+        ("0", "0.3", "0.1", 4),  # 0.3 / 0.1 is 2.9999999999999996
+    ])
+    def test_rows_stop_at_beta_max(self, tmp_path, low, high, step, rows):
+        config = write_config(tmp_path / "c.json", engine={"grid": 30})
+        counts = tmp_path / "counts.json"
+        write_payload(counts, COUNTS)
+        out = tmp_path / "s.csv"
+        assert main(["sweep-beta", "--config", str(config), "--counts", str(counts),
+                     "--out", str(out), f"--beta-min={low}", f"--beta-max={high}",
+                     f"--beta-step={step}"]) == 0
+        betas = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert betas == [float(low) + i * float(step) for i in range(rows)]
 
     def test_bad_range(self, tmp_path):
         config = write_config(tmp_path / "c.json", n=0)

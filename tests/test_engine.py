@@ -22,8 +22,9 @@ from maxent_agents import (
     solve_beta,
 )
 from maxent_agents import simplex as simplex_module
-from maxent_agents.engine import (BETA_CAP, MARGINAL_BINS, EngineRangeError, _TiltedFamily,
-                                  grid_levels)
+from maxent_agents.engine import (BETA_CAP, MARGINAL_BINS, SOLVER_TOL, EngineRangeError,
+                                  _TiltedFamily, grid_levels)
+from maxent_agents.network import fit_view
 from maxent_agents.simplex import NODE_BUDGET, NodeBudgetError, NodeSet, marginal_bins
 
 from oracles import (
@@ -54,12 +55,13 @@ def log_zeta(prior, view, spec, beta, engine):
 
 
 def expected_f(prior, view, spec, beta, engine):
-    return _TiltedFamily(prior, view, spec, engine).expected_f(beta)
+    fam = _TiltedFamily(prior, view, spec, engine)
+    return fam.mean_f(fam.tilt(beta)[0])
 
 
 def bayes_posterior(prior, view, engine):
-    """The posterior without a moment constraint (beta = 0)."""
-    return posterior(solve_beta(prior, view, ConstraintSpec.none(view.k), engine))
+    """The belief without a moment constraint (beta = 0)."""
+    return fit_view(prior, view, ConstraintSpec.none(view.k), engine)
 
 
 @pytest.fixture(scope="module")
@@ -86,12 +88,10 @@ class TestSpecs:
     def test_solved_constraint_rejects_large_residual(self):
         fam = _TiltedFamily(FLAT3, AgentView.empty(3, 0), BIAS, GridEngine(3, 10))
         with pytest.raises(ValueError, match="residual"):
-            SolvedConstraint(
-                spec=BIAS, beta=0.0, log_zeta=0.0, expected_f=1e-3, tol=1e-9, family=fam,
-                weights=fam.tilt(0.0)[0],
-            )
+            SolvedConstraint(beta=0.0, log_zeta=0.0, expected_f=1e-3, family=fam,
+                             weights=fam.tilt(0.0)[0])
         with pytest.raises(TypeError, match="family"):
-            SolvedConstraint(spec=BIAS, beta=0.0, log_zeta=0.0, expected_f=0.0, tol=1e-9)
+            SolvedConstraint(beta=0.0, log_zeta=0.0, expected_f=0.0)
 
 
 class TestPriorDensity:
@@ -246,11 +246,11 @@ class TestNewtonSolve:
                     for F in (lo + 1e-3, lo + 0.1, -1.0, 0.0, hi - 0.1, hi - 1e-3):
                         solved = solve_beta(FLAT3, view, ConstraintSpec.of(BIAS.f, F), eng240)
                         fam = solved.family
-                        ref = brentq(lambda b: fam.expected_f(b) - F, -BETA_CAP, BETA_CAP,
-                                     xtol=1e-13, rtol=1e-15)
+                        ref = brentq(lambda b: fam.mean_f(fam.tilt(b)[0]) - F,
+                                     -BETA_CAP, BETA_CAP, xtol=1e-13, rtol=1e-15)
                         # The stop rule pins <f> to tol, which pins beta to tol / Var f.
                         _, var = fam.level_moments(ref)
-                        assert abs(solved.beta - ref) <= 1e-10 + solved.tol / var
+                        assert abs(solved.beta - ref) <= 1e-10 + SOLVER_TOL / var
                         assert solved.iterations <= 12
 
     def test_solve_then_posterior_builds_one_family(self, eng240, monkeypatch):
@@ -264,9 +264,9 @@ class TestNewtonSolve:
         monkeypatch.setattr(GridEngine, "basis", counting_basis)
         view = AgentView.full(CountVector.of([5, 3, 2]))
         solved = solve_beta(FLAT3, view, BIAS, eng240)
-        model = posterior(solved)
+        belief = posterior_summary(solved, posterior(solved))
         assert calls == [view]
-        assert posterior_summary(model).expected_f == pytest.approx(0.0, abs=1e-9)
+        assert belief.solved.expected_f == pytest.approx(0.0, abs=1e-9)
 
 
 class TestLevelSolve:
@@ -275,12 +275,12 @@ class TestLevelSolve:
 
     def assert_matches_node_loop(self, solved):
         fam = solved.family
-        beta, log_zeta, iters = solve_beta_nodes(fam.a, fam.f, solved.spec.F)
+        beta, log_zeta, iters = solve_beta_nodes(fam.a, fam.f, fam.spec.F)
         # Near beta = 0 a roundoff in <f> moves beta by about 1e-16 / Var f.
         assert solved.beta == pytest.approx(beta, rel=1e-12, abs=1e-12)
         assert solved.log_zeta == pytest.approx(log_zeta, rel=1e-12, abs=1e-12)
         assert solved.iterations == iters
-        assert solved.residual <= solved.tol
+        assert solved.residual <= SOLVER_TOL
 
     @pytest.mark.parametrize("counts, F, beta_sign", [
         pytest.param([2000, 0, 0], -1.0, -1, id="2000-0-0"),
@@ -337,47 +337,45 @@ class TestPosterior:
             m = rng.multinomial(n, rng.dirichlet(np.ones(3) * 3))
             while (alpha + m).min() < 6:
                 m = rng.multinomial(n, rng.dirichlet(np.ones(3) * 3))
-            model = bayes_posterior(
+            belief = bayes_posterior(
                 PriorSpec.of(alpha), AgentView.full(CountVector.of(m)), eng240
             )
             nodes = eng240.grid.nodes
-            ours = model.log_density_at(nodes, log_columns(nodes))
+            ours = belief.log_density_at(nodes, log_columns(nodes))
             closed = dirichlet_log_rel(alpha + m, nodes)
             assert np.abs(np.expm1(ours - closed)).max() <= 1e-8
 
     def test_full_view_means_and_variance(self, eng240):
-        model = bayes_posterior(
+        belief = bayes_posterior(
             FLAT3, AgentView.full(CountVector.of([5, 3, 2])), eng240
         )
-        summary = posterior_summary(model)
-        assert summary.means == pytest.approx((6 / 13, 4 / 13, 3 / 13), abs=1e-7)
-        assert summary.variances[0] == pytest.approx(6 * 7 / (13**2 * 14), abs=1e-7)
-        assert summary.normalization == pytest.approx(1.0, abs=1e-12)
+        assert belief.means == pytest.approx((6 / 13, 4 / 13, 3 / 13), abs=1e-7)
+        assert belief.variances[0] == pytest.approx(6 * 7 / (13**2 * 14), abs=1e-7)
+        assert belief.normalization == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_view_beta0_is_prior_flat(self, eng240):
-        model = bayes_posterior(FLAT3, AgentView.empty(3, 0), eng240)
+        belief = bayes_posterior(FLAT3, AgentView.empty(3, 0), eng240)
         pts = np.random.default_rng(0).dirichlet(np.ones(3), size=50)
-        assert np.abs(model.log_density_at(pts, log_columns(pts))).max() <= 1e-12
+        assert np.abs(belief.log_density_at(pts, log_columns(pts))).max() <= 1e-12
 
     def test_empty_view_beta0_is_prior_nonflat(self, eng240):
         # Self-normalization reproduces the prior up to the grid's estimate
         # of its own mass; negligible once every exponent is >= 2.
         prior = PriorSpec.of([4.0, 3.0, 5.0])
-        model = bayes_posterior(prior, AgentView.empty(3, 0), eng240)
+        belief = bayes_posterior(prior, AgentView.empty(3, 0), eng240)
         pts = np.random.default_rng(0).dirichlet(np.ones(3), size=50)
         assert np.abs(
-            model.log_density_at(pts, log_columns(pts)) - prior.log_rel_density(log_columns(pts))
+            belief.log_density_at(pts, log_columns(pts)) - prior.log_rel_density(log_columns(pts))
         ).max() <= 1e-7
 
     def test_maxent_reduction_vs_independent_oracle(self, eng240):
         # No data: the posterior is the tilted prior.  Compare against the
         # independent lattice solve at the same resolution.
-        solved = solve_beta(FLAT3, AgentView.empty(3, 0), BIAS, eng240)
-        model = posterior(solved)
+        belief = fit_view(FLAT3, AgentView.empty(3, 0), BIAS, eng240)
         beta_o, nodes_o, log_norm_o = tilted_flat_posterior(240, [1.0, 0.0, -2.0], 0.0)
         fvals = nodes_o @ np.array([1.0, 0.0, -2.0])
         oracle_logdens = beta_o * fvals - log_norm_o
-        ours = model.log_density_at(nodes_o, log_columns(nodes_o))
+        ours = belief.log_density_at(nodes_o, log_columns(nodes_o))
         assert np.abs(np.expm1(ours - oracle_logdens)).max() <= 1e-8
 
     def test_student_view_matches_direct_form(self, eng240):
@@ -386,16 +384,15 @@ class TestPosterior:
         # using f = th1 - 2 th3 = 3 th1 + 2 th2 - 2 on the simplex.
         n, m1 = 10, 7
         view = AgentView.from_mapping(3, n, {1: m1})
-        solved = solve_beta(FLAT3, view, BIAS, eng240)
-        model = posterior(solved)
+        belief = fit_view(FLAT3, view, BIAS, eng240)
         nodes = eng240.grid.nodes
         form = (
-            solved.beta * (3 * nodes[:, 0] + 2 * nodes[:, 1] - 2)
+            belief.solved.beta * (3 * nodes[:, 0] + 2 * nodes[:, 1] - 2)
             + m1 * np.log(nodes[:, 0])
             + (n - m1) * np.log(1 - nodes[:, 0])
         )
         direct = form - (np.max(form) + np.log(np.mean(np.exp(form - np.max(form)))))
-        ours = model.log_density_at(nodes, log_columns(nodes))
+        ours = belief.log_density_at(nodes, log_columns(nodes))
         assert np.abs(np.expm1(ours - direct)).max() <= 1e-8
 
 
@@ -411,7 +408,7 @@ class TestSequentialVsSimultaneous:
         sim = solve_beta(FLAT3, view, spec, eng240)
         assert sim.beta == 0.0  # simultaneous route
         bayes = bayes_posterior(FLAT3, view, eng240)
-        joint = posterior(sim)
+        joint = posterior_summary(sim, posterior(sim))
         nodes = eng240.grid.nodes
         assert np.array_equal(joint.log_density_at(nodes, log_columns(nodes)),
                               bayes.log_density_at(nodes, log_columns(nodes)))
@@ -444,33 +441,31 @@ class TestOnePass:
         w = np.exp(t - t.max())
         np.testing.assert_array_equal(solved.weights, w / w.sum())
         assert solved.log_zeta == float(t.max() + np.log(np.sum(np.exp(t - t.max()))))
-        model = posterior(solved)
-        np.testing.assert_array_equal(model.node_mass,
-                                      np.exp(fam.a + beta * fam.f - solved.log_zeta))
-        for arr in (solved.weights, model.node_mass):
+        mass = posterior(solved)
+        np.testing.assert_array_equal(mass, np.exp(fam.a + beta * fam.f - solved.log_zeta))
+        for arr in (solved.weights, mass):
             assert not arr.flags.writeable
 
 
 class TestEntropy:
     def test_no_update_entropy_zero(self, eng240):
-        model = bayes_posterior(FLAT3, AgentView.empty(3, 0), eng240)
-        assert me_entropy(model) == 0.0
+        belief = bayes_posterior(FLAT3, AgentView.empty(3, 0), eng240)
+        assert me_entropy(belief) == 0.0
 
     def test_full_view_beta0(self, eng240):
-        model = bayes_posterior(
+        belief = bayes_posterior(
             FLAT3, AgentView.full(CountVector.of([5, 3, 2])), eng240
         )
-        s_me = me_entropy(model)
+        s_me = me_entropy(belief)
         assert s_me == pytest.approx(math.log(1 / 66), abs=1e-7)
-        assert s_me == model.solved.log_zeta
+        assert s_me == belief.solved.log_zeta
 
     def test_tilted_case_matches_direct_functional(self, eng240):
         view = AgentView.empty(3, 0)
-        solved = solve_beta(FLAT3, view, BIAS, eng240)
-        model = posterior(solved)
-        s_me = me_entropy(model)
+        belief = fit_view(FLAT3, view, BIAS, eng240)
+        s_me = me_entropy(belief)
         assert s_me < 0.0
-        direct = entropy_functional(model, (1.0, 1.0, 1.0), 3, 0, {}, eng240.grid.nodes)
+        direct = entropy_functional(belief, (1.0, 1.0, 1.0), 3, 0, {}, eng240.grid.nodes)
         assert s_me == pytest.approx(direct, abs=1e-6)
 
 
@@ -506,12 +501,10 @@ class TestMcEngineEndToEnd:
         view = AgentView.from_mapping(k, counts.n, {1: 4, 2: 3})
         spec = ConstraintSpec.of([1, 0, 0, 0, 0, -2], 0.0)
         engine = McEngine(k, samples=50_000, seed=123)
-        solved = solve_beta(prior, view, spec, engine)
-        assert solved.residual <= 1e-9
-        model = posterior(solved)
-        summary = posterior_summary(model)
-        assert summary.normalization == pytest.approx(1.0, abs=1e-9)
-        assert summary.expected_f == pytest.approx(0.0, abs=1e-8)
+        belief = fit_view(prior, view, spec, engine)
+        assert belief.solved.residual <= 1e-9
+        assert belief.normalization == pytest.approx(1.0, abs=1e-9)
+        assert belief.solved.expected_f == pytest.approx(0.0, abs=1e-8)
 
     def test_mc_estimates_match_conjugate_means(self):
         # Full view, no tilt: the posterior is Dirichlet(alpha + m) and the
@@ -519,25 +512,26 @@ class TestMcEngineEndToEnd:
         k = 5
         counts = CountVector.of([6, 1, 3, 0, 2])
         engine = McEngine(k, samples=100_000, seed=9)
-        model = bayes_posterior(PriorSpec.flat(k), AgentView.full(counts), engine)
-        summary = posterior_summary(model)
+        belief = bayes_posterior(PriorSpec.flat(k), AgentView.full(counts), engine)
         exact = (np.array(counts.counts) + 1.0) / (counts.n + k)
-        assert np.abs(np.array(summary.means) - exact).max() <= 0.01
+        assert np.abs(np.array(belief.means) - exact).max() <= 0.01
 
     def test_deterministic_per_seed(self):
         k = 5
         prior = PriorSpec.flat(k)
         view = AgentView.from_mapping(k, 8, {2: 5})
         spec = ConstraintSpec.of([1, 0, 0, 0, -1], -0.05)
-        one = posterior_summary(posterior(solve_beta(prior, view, spec, McEngine(k, 20_000, 5))))
-        two = posterior_summary(posterior(solve_beta(prior, view, spec, McEngine(k, 20_000, 5))))
-        assert one == two
+        one, two = (fit_view(prior, view, spec, McEngine(k, 20_000, 5)) for _ in range(2))
+        assert ((one.solved.expected_f, one.means, one.variances, one.normalization,
+                 one.marginals)
+                == (two.solved.expected_f, two.means, two.variances, two.normalization,
+                    two.marginals))
 
 
-def histogram_marginals(model):
-    """np.histogram's marginal tables for a model, scaled to densities."""
-    fam = model.family
-    w = fam.tilt(model.solved.beta)[0]
+def histogram_marginals(belief):
+    """np.histogram's marginal tables for a belief, scaled to densities."""
+    fam = belief.solved.family
+    w = fam.tilt(belief.solved.beta)[0]
     theta = fam.nodes.nodes
     return tuple(
         tuple(np.histogram(theta[:, i], bins=MARGINAL_BINS, range=(0.0, 1.0),
@@ -556,20 +550,21 @@ class TestMarginals:
         view = AgentView.from_mapping(k, 4 if k == 2 else 6, {1: 3, 2: 1})
         f = [1.0] + [0.0] * (k - 2) + [-2.0]
         engine = GridEngine(k, r)
-        model = posterior(solve_beta(PriorSpec.flat(k), view, ConstraintSpec.of(f, 0.0), engine))
+        solved = solve_beta(PriorSpec.flat(k), view, ConstraintSpec.of(f, 0.0), engine)
+        mass = posterior(solved)
         assert engine.grid.bins is engine.grid.bins  # built on first use, then kept
 
         def no_binning(nodes):
             raise AssertionError("a grid's nodes were binned again")
 
         monkeypatch.setattr(simplex_module, "marginal_bins", no_binning)
-        assert posterior_summary(model).marginals == histogram_marginals(model)
+        belief = posterior_summary(solved, mass)
+        assert belief.marginals == histogram_marginals(belief)
 
     def test_mc_basis_past_one_histogram_block(self):
         engine = McEngine(3, 200_000, seed=0)  # > 65,536 samples: 4 blocks
-        model = posterior(solve_beta(FLAT3, AgentView.full(CountVector.of([5, 3, 2])),
-                                     BIAS, engine))
-        assert posterior_summary(model).marginals == histogram_marginals(model)
+        belief = fit_view(FLAT3, AgentView.full(CountVector.of([5, 3, 2])), BIAS, engine)
+        assert belief.marginals == histogram_marginals(belief)
 
     def test_coordinates_on_bin_edges_and_at_one(self):
         edges = np.linspace(0.0, 1.0, MARGINAL_BINS + 1)
@@ -587,6 +582,6 @@ class TestMarginals:
                 logw = np.log(np.random.default_rng(6).uniform(0.5, 1.5, size=x.size))
                 return NodeSet(nodes, log_columns(nodes), logw - np.log(np.exp(logw).sum()))
 
-        model = bayes_posterior(PriorSpec.flat(2), AgentView.empty(2, 0), FixedNodes())
+        belief = bayes_posterior(PriorSpec.flat(2), AgentView.empty(2, 0), FixedNodes())
         assert {0.0, 1.0} <= set(x.tolist())
-        assert posterior_summary(model).marginals == histogram_marginals(model)
+        assert belief.marginals == histogram_marginals(belief)

@@ -6,7 +6,8 @@ workload is silently absent from the benchmark's result.  One in-process
 `network` request runs under the tracer for a shared fit (complete k=3
 network, round 1) and for distinct views (2x2 triangle lattice, round 1).
 Every per-layer metric BENCHMARK.json declares must come out, except the
-two that perfbench/run.py computes itself rather than from spans.
+two that perfbench/run.py computes itself rather than from spans, and each
+distinct view must pass through the fit path's stages exactly once.
 """
 import importlib.util
 import json
@@ -30,12 +31,14 @@ def load_tracing():
     return module
 
 
-@pytest.mark.parametrize("network, counts, grid", [
-    pytest.param({"preset": "complete"}, [6, 3, 1], 30, id="complete-k3-shared-fit"),
-    pytest.param({"preset": "triangle-lattice", "rows": 2, "cols": 2}, [6, 3, 2, 1], 12,
+# Distinct views at round 1: one on the complete graph; on the 2x2 lattice
+# agents 2 and 3 see every side and agents 1 and 4 see three sides each.
+@pytest.mark.parametrize("network, counts, grid, fits", [
+    pytest.param({"preset": "complete"}, [6, 3, 1], 30, 1, id="complete-k3-shared-fit"),
+    pytest.param({"preset": "triangle-lattice", "rows": 2, "cols": 2}, [6, 3, 2, 1], 12, 3,
                  id="lattice-2x2-distinct-views"),
 ])
-def test_every_declared_layer_is_traced(tmp_path, network, counts, grid):
+def test_every_declared_layer_is_traced(tmp_path, network, counts, grid, fits):
     k, n = len(counts), sum(counts)
     write_payload(tmp_path / "config.json", {
         "k": k, "n": n, "seed": 0, "prior": [1.0] * k,
@@ -53,3 +56,8 @@ def test_every_declared_layer_is_traced(tmp_path, network, counts, grid):
     (metrics,) = tracing.request_metrics(tracer.spans, k).values()
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert sorted(declared - RUNNER_METRICS - set(metrics)) == []
+    # One solve, one set of node masses, one summary per distinct view and one
+    # entropy per distinct fit: a stage skipped or repeated shows here.
+    stages = ("engine.solve", "engine.posterior", "engine.summary", "engine.entropy")
+    counted = {name: sum(span[0] == name for span in tracer.spans) for name in stages}
+    assert counted == dict.fromkeys(stages, fits)
