@@ -18,11 +18,10 @@ from .engine import (
     solve_beta,
 )
 from .fileio import EngineSettings, ExperimentConfig
-from .multinomial import AgentView, CountVector, log_factorial, simulate_rolls
+from .multinomial import AgentView, CountVector, simulate_rolls
 from .network import (
     belief_divergence,
     complete_network,
-    explicit_network,
     infer_all,
     triangle_lattice_network,
     views_at_round,
@@ -45,9 +44,7 @@ __all__ = [
     "belief_divergence",
     "build_grid",
     "complete_network",
-    "explicit_network",
     "infer_all",
-    "log_factorial",
     "me_entropy",
     "posterior",
     "posterior_summary",

@@ -46,10 +46,13 @@ EXIT_INPUT = 4
 MAX_SWEEP_ROWS = 1_000_000
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, overrides: bool = True) -> None:
+    """--config, --out and --seed; with `overrides`, the engine and constraint overrides."""
     parser.add_argument("--config", required=True, help="experiment config (JSON)")
     parser.add_argument("--out", required=True, help="output path")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    if not overrides:
+        return
     parser.add_argument("--grid", type=int, default=None, help="grid resolution override")
     parser.add_argument("--mc-samples", type=int, default=None, help="MC sample override")
     parser.add_argument(
@@ -67,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="roll the die, write a counts file")
-    _add_common(p)
+    _add_common(p, overrides=False)
 
     p = sub.add_parser("infer", help="single-agent inference for one view")
     _add_common(p)
@@ -97,13 +100,13 @@ def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:
     updates: dict[str, Any] = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-    if args.grid is not None or args.mc_samples is not None:
-        updates["engine"] = EngineSettings(
-            grid=args.grid, mc_samples=args.mc_samples,
-            mc_seed=config.engine.mc_seed,
-        )
-    if args.constraint is not None:
-        updates["constraint"] = parse_constraint_shorthand(args.constraint)
+    grid, samples, constraint = (getattr(args, key, None)
+                                 for key in ("grid", "mc_samples", "constraint"))
+    if grid is not None or samples is not None:
+        updates["engine"] = EngineSettings(grid=grid, mc_samples=samples,
+                                           mc_seed=config.engine.mc_seed)
+    if constraint is not None:
+        updates["constraint"] = parse_constraint_shorthand(constraint)
     if getattr(args, "round", None) is not None:
         updates["round"] = args.round
     return replace(config, **updates)

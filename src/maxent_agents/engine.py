@@ -193,10 +193,10 @@ class GridEngine:
 class McEngine:
     """Seeded Dirichlet importance-sampling backend for higher dimensions.
 
-    Samples are drawn from a proposal matched to the no-tilt posterior
-    (prior parameters plus visible counts, with the unseen total spread over
-    hidden sides in proportion to their prior weights); reference weights
-    carry the flat-measure/proposal density ratio.
+    Samples are drawn from a Dirichlet proposal matched to the no-tilt
+    posterior (prior parameters plus visible counts, the unseen total spread
+    over hidden sides by prior weight); reference weights are 1/N over its
+    density relative to the flat one, `PriorSpec.log_rel_density`.
     """
 
     def __init__(self, k: int, samples: int, seed: int):
@@ -223,11 +223,9 @@ class McEngine:
     def basis(self, prior: PriorSpec, view: AgentView) -> NodeSet:
         params = self.proposal_params(prior, view)
         theta = sample_dirichlet(params, self.samples, self.seed)
-        const = math.lgamma(params.sum()) - sum(map(math.lgamma, params)) - math.lgamma(self.k)
-        log_theta = np.log(theta)
-        log_proposal_rel = const + log_theta @ (params - 1.0)
-        logw = -np.log(self.samples) - log_proposal_rel
-        return NodeSet(theta, np.ascontiguousarray(log_theta.T), logw)
+        log_nodes = np.ascontiguousarray(np.log(theta).T)
+        logw = -np.log(self.samples) - PriorSpec.of(params).log_rel_density(log_nodes)
+        return NodeSet(theta, log_nodes, logw)
 
     def descriptor(self) -> dict:
         return {"mc_samples": self.samples, "mc_seed": self.seed}

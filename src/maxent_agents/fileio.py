@@ -25,8 +25,18 @@ from typing import Any
 
 from .engine import DEFAULT_MC_SAMPLES, DEFAULT_RESOLUTION, ConstraintSpec, GridEngine, McEngine
 from .multinomial import AgentView, CountVector
-from .network import AgentNetwork, complete_network, explicit_network, triangle_lattice_network
+from .network import AgentNetwork, complete_network, triangle_lattice_network
 from .simplex import NODE_BUDGET, ThetaPoint
+
+
+MAX_COUNT = 2**53  # the likelihood takes counts as float64s, exact up to here
+
+
+def check_count(value: int, name: str) -> int:
+    """`value`, or a ValueError naming `name` if it exceeds MAX_COUNT."""
+    if value > MAX_COUNT:
+        raise ValueError(f"{name} must be <= 2**53 to be exact as a float64, got {value}")
+    return value
 
 
 def _format_float(x: float) -> str:
@@ -206,6 +216,7 @@ class ExperimentConfig:
             object.__setattr__(self, "prior", (1.0,) * self.k)
         if self.n < 0:
             raise ValueError("n must be >= 0")
+        check_count(self.n, "config n")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.prior) != self.k:
@@ -244,7 +255,7 @@ class ExperimentConfig:
             for edge in edges:
                 if len(edge) != 2:
                     raise ValueError(f"config network.edges entry {edge} is not a pair of agents")
-            return explicit_network(k, edges)
+            return AgentNetwork(k, edges)
         raise ValueError(
             f"unknown network preset {preset!r}; use complete, triangle-lattice or explicit"
         )
@@ -316,7 +327,8 @@ def read_counts(path: str | Path) -> CountVector:
         raise ValueError(f"counts file must be a JSON object, got {type(payload).__name__}")
     k, n, entries = (as_field(payload.get(key), f"counts file {key}", kind)
                      for key, kind in (("k", int), ("n", int), ("counts", [int])))
-    counts = CountVector(tuple(entries))
+    check_count(n, "counts file n")
+    counts = CountVector(tuple(check_count(c, "counts file counts") for c in entries))
     if counts.k != k:
         raise ValueError(f"counts file k={k} does not match {counts.k} entries")
     if counts.n != n:

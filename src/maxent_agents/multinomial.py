@@ -13,11 +13,12 @@ which is what `view_log_likelihood_nodes` evaluates over an array of
 nodes.  Enumeration of hidden completions is never used outside test
 oracles.
 
-Both this likelihood and the Dirichlet prior are power products
-prod_i theta_i^{e_i}; `log_power` evaluates their log from the (k, N) log
-columns of a node set.  A zero exponent contributes exactly 0 in log space,
-so its column is skipped (so 0 * log 0 never arises); a positive exponent
-on a zero coordinate gives -inf and a negative one +inf.
+This likelihood, the Dirichlet prior and the Monte-Carlo proposal are power
+products prod_i theta_i^{e_i} with a `math.lgamma` constant; `log_power`
+evaluates the log of the product from the (k, N) log columns of a node set.
+A zero exponent contributes exactly 0 in log space, so its column is
+skipped (so 0 * log 0 never arises); a positive exponent on a zero
+coordinate gives -inf and a negative one +inf.
 """
 from __future__ import annotations
 
@@ -28,15 +29,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .simplex import ThetaPoint, dirichlet_sampler
-
-
-def log_factorial(n):
-    """log(n!) as log-Gamma(n + 1); n may be a scalar or an array."""
-    arr = np.asarray(n, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("factorial argument must be >= 0")
-    out = np.array([math.lgamma(v + 1.0) for v in arr.flat]).reshape(arr.shape)
-    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -157,17 +149,12 @@ def view_log_likelihood_nodes(view: AgentView, nodes: np.ndarray,
     if not view.visible:
         return np.zeros(nodes.shape[0])
     sides = np.asarray(view.visible_sides, dtype=np.int64) - 1
-    mv = np.asarray([c for _, c in view.visible], dtype=float)
-    rest_count = view.n - float(mv.sum())
-    out = np.full(
-        nodes.shape[0],
-        log_factorial(view.n)
-        - float(np.sum(log_factorial(mv.astype(np.int64))))
-        - log_factorial(int(rest_count)),
-    )
+    rest_count = float(view.n - view.visible_total)
     exponents = np.zeros(view.k)
-    exponents[sides] = mv
-    out += log_power(exponents, log_nodes)
+    exponents[sides] = [c for _, c in view.visible]
+    out = (math.lgamma(view.n + 1.0)
+           - float(np.sum([math.lgamma(c + 1.0) for _, c in view.visible]))
+           - math.lgamma(rest_count + 1.0)) + log_power(exponents, log_nodes)
     if rest_count > 0:
         rest = np.maximum(1.0 - nodes[:, sides].sum(axis=1), 0.0)
         with np.errstate(divide="ignore"):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .engine import Belief, ConstraintSpec, PriorSpec, posterior, posterior_summary, solve_beta
 from .multinomial import AgentView, CountVector
@@ -24,7 +24,8 @@ from .multinomial import AgentView, CountVector
 
 @dataclass(frozen=True)
 class AgentNetwork:
-    """Undirected graph on agents 1..k; agent i watches side i."""
+    """Undirected graph on agents 1..k; agent i watches side i.  Edges come in any
+    order and orientation and are stored once each, as sorted (low, high) pairs."""
 
     k: int
     edges: tuple[tuple[int, int], ...]
@@ -37,10 +38,8 @@ class AgentNetwork:
                 raise ValueError(f"self-loop on agent {a}")
             if not (1 <= a <= self.k and 1 <= b <= self.k):
                 raise ValueError(f"edge ({a}, {b}) out of range [1, {self.k}]")
-            if a > b:
-                raise ValueError(f"edges must be stored as (low, high), got ({a}, {b})")
-        if len(set(self.edges)) != len(self.edges):
-            raise ValueError("duplicate edges")
+        object.__setattr__(self, "edges",
+                           tuple(sorted({(min(a, b), max(a, b)) for a, b in self.edges})))
 
     def neighbors(self, agent: int) -> tuple[int, ...]:
         out = [b for a, b in self.edges if a == agent]
@@ -76,8 +75,7 @@ def triangle_lattice_network(rows: int, cols: int) -> AgentNetwork:
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
-    k = rows * cols
-    edges = set()
+    edges = []
     offsets = [(0, 1), (1, 0), (1, -1)]
     for i in range(rows):
         for j in range(cols):
@@ -85,14 +83,8 @@ def triangle_lattice_network(rows: int, cols: int) -> AgentNetwork:
             for di, dj in offsets:
                 ii, jj = i + di, j + dj
                 if 0 <= ii < rows and 0 <= jj < cols:
-                    b = ii * cols + jj + 1
-                    edges.add((min(a, b), max(a, b)))
-    return AgentNetwork(k=k, edges=tuple(sorted(edges)))
-
-
-def explicit_network(k: int, edges: Iterable[Sequence[int]]) -> AgentNetwork:
-    """The graph on agents 1..k with the given undirected edges, in any order."""
-    return AgentNetwork(k=k, edges=tuple(sorted({(min(a, b), max(a, b)) for a, b in edges})))
+                    edges.append((a, ii * cols + jj + 1))
+    return AgentNetwork(rows * cols, edges)
 
 
 def views_at_round(net: AgentNetwork, counts: CountVector, round: int) -> dict[int, AgentView]:

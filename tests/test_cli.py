@@ -278,6 +278,20 @@ class TestSimulate:
         config = write_config(tmp_path / "c.json", theta_true=None)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.parametrize("flag, value", [("--grid", "30"), ("--mc-samples", "1000"),
+                                             ("--constraint", "f=1,0,-2;F=0")])
+    def test_refuses_engine_flags(self, tmp_path, capsys, flag, value):
+        # simulate builds no engine and fits nothing; it used to validate these
+        # flags and then ignore them.
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     flag, value]) == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("usage: maxent-agents")
+        assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+
     def test_negative_seed_names_seed(self, tmp_path, capsys):
         # It used to reach the generator, whose error named no field.
         config = write_config(tmp_path / "c.json")
@@ -427,7 +441,11 @@ class TestInfer:
         if command == "network":
             argv += ["--counts", str(counts)]
         assert main(argv) == 4
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        if command == "simulate":  # simulate builds no engine: the flags are not its own
+            assert "error: unrecognized arguments: --grid 30 --mc-samples 1000" in err
+        else:
+            assert err.startswith("error: ")
         assert not (tmp_path / "x").exists()
 
 
@@ -582,6 +600,46 @@ class TestInputChecks:
         assert code == 4
         assert err.startswith(f"error: config {named}: ")
 
+    @pytest.mark.parametrize("command, config, counts, named", [
+        pytest.param("simulate", {"n": 10**30}, None, "config n", id="simulate-config-n"),
+        *(pytest.param(command, config, counts, named, id=f"{command}-{case}")
+          for command in ("infer", "network")
+          for config, counts, named, case in [
+              ({"n": 10**30}, COUNTS, "config n", "config-n"),
+              ({}, {**COUNTS, "n": 10**30, "counts": [10**30, 0, 0]}, "counts file n",
+               "counts-n"),
+              ({}, {**COUNTS, "counts": [10**30, 0, 0]}, "counts file counts", "counts-entry"),
+          ]),
+    ])
+    def test_count_beyond_float64_refused(self, tmp_path, capsys, command, config, counts,
+                                          named):
+        # At n = counts[0] = 10**30, simulate used to end in an OverflowError
+        # traceback, infer in a misleading factorial error and network in a
+        # file of per-agent errors (exit 3).
+        argv = [command, "--config", str(write_config(tmp_path / "c.json", **config))]
+        if counts is None:  # simulate reads no counts file
+            code = main(argv + ["--out", str(tmp_path / "x")])
+            err = capsys.readouterr().err
+        else:
+            code, err = self._run(tmp_path, capsys, argv, counts)
+        assert code == 4 and not (tmp_path / "x").exists()
+        assert err == f"error: {named} must be <= 2**53 to be exact as a float64, got {10**30}\n"
+
+    def test_count_bound_is_inclusive(self, tmp_path):
+        # 2**53 is exact as a float64; 2**53 + 1 is not.
+        path = tmp_path / "n.json"
+        write_payload(path, {**COUNTS, "n": 2**53, "counts": [2**53, 0, 0]})
+        assert read_counts(path).counts == (2**53, 0, 0)
+        write_payload(path, {**COUNTS, "n": 2**53 + 1, "counts": [2**53, 1, 0]})
+        with pytest.raises(ValueError, match="counts file n must be <= 2"):
+            read_counts(path)
+        write_payload(path, {**COUNTS, "n": 2**53, "counts": [2**53 + 1, 0, 0]})
+        with pytest.raises(ValueError, match="counts file counts must be <= 2"):
+            read_counts(path)
+        assert ExperimentConfig(k=3, n=2**53, seed=0).n == 2**53
+        with pytest.raises(ValueError, match="config n must be <= 2"):
+            ExperimentConfig(k=3, n=2**53 + 1, seed=0)
+
     @pytest.mark.parametrize("drop", [(), ("prior",)], ids=["with-prior", "default-prior"])
     def test_huge_k_refused(self, tmp_path, capsys, drop):
         # The default prior [1.0] * k used to be built first, even when a prior
@@ -606,7 +664,7 @@ class TestInputChecks:
         def no_graph(*args):
             raise AssertionError("a graph was built")
 
-        for builder in ("complete_network", "triangle_lattice_network", "explicit_network"):
+        for builder in ("complete_network", "triangle_lattice_network", "AgentNetwork"):
             monkeypatch.setattr(fileio_module, builder, no_graph)
         config = write_config(tmp_path / "c.json", network=network)
         code, err = self._run(tmp_path, capsys, ["network", "--config", str(config)])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.stats import dirichlet
 
 from maxent_agents import (
     AgentView,
@@ -485,6 +486,22 @@ class TestMcEngineEndToEnd:
         assert ns.bins is ns.bins
         for arr in (ns.nodes, ns.log_nodes, ns.log_weights, ns.bins):
             assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("prior, visible", [
+        (PriorSpec.flat(4), {1: 5, 3: 2}),
+        (PriorSpec.of([2.0, 0.5, 1.5, 3.0]), {2: 7}),
+        (PriorSpec.of([0.7, 1.0, 2.5, 1.0]), {}),
+    ])
+    def test_basis_weights_are_proposal_density_ratio(self, prior, visible):
+        # log w_j = -log N - log(proposal density / flat density) at each draw,
+        # with the proposal's Dirichlet density taken from scipy.
+        engine = McEngine(4, 2000, seed=6)
+        view = AgentView.from_mapping(4, 12, visible)
+        ns = engine.basis(prior, view)
+        params = engine.proposal_params(prior, view)
+        ref = (-math.log(engine.samples) - dirichlet.logpdf(ns.nodes.T, params)
+               + math.lgamma(4))
+        np.testing.assert_allclose(ns.log_weights, ref, rtol=0, atol=1e-12)
 
     def test_sample_cap(self):
         # Refused in the constructor, before a single draw is allocated.

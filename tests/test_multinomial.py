@@ -12,7 +12,6 @@ from maxent_agents import (
     CountVector,
     ThetaPoint,
     build_grid,
-    log_factorial,
     simulate_rolls,
 )
 from maxent_agents import multinomial
@@ -41,26 +40,6 @@ def view_loglik(view, theta) -> float:
 def log_pmf(counts, theta) -> float:
     """The engine's likelihood of a full view, which is the multinomial pmf."""
     return view_loglik(AgentView.full(CountVector.of(counts)), theta)
-
-
-class TestLogFactorial:
-    def test_small_values(self):
-        assert log_factorial(0) == 0.0
-        assert log_factorial(1) == 0.0
-        assert log_factorial(5) == pytest.approx(math.log(120), abs=1e-12)
-
-    def test_matches_lgamma(self):
-        for n in [3, 171, 1000, 5000, 2_000_000]:
-            assert log_factorial(n) == pytest.approx(math.lgamma(n + 1), rel=1e-10)
-
-    def test_vectorized(self):
-        out = log_factorial(np.array([0, 2, 10]))
-        assert out.shape == (3,)
-        assert out[1] == pytest.approx(math.log(2))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            log_factorial(-1)
 
 
 class TestCountVector:
@@ -171,6 +150,14 @@ class TestViewLikelihood:
         for j, p in enumerate(pts):
             assert vec[j] == pytest.approx(view_loglik_brute(4, 9, visible, p), rel=1e-12)
 
+    def test_count_beyond_int64(self):
+        # A count of 2^63 does not fit an int64; its constant is lgamma(n+1)
+        # - lgamma(n+1) - lgamma(1) = 0, leaving the power term alone.
+        view = AgentView(k=3, n=2**63, visible=((1, 2**63),))
+        pts = np.array([[0.5, 0.3, 0.2], [0.25, 0.25, 0.5], [1.0, 0.0, 0.0]])
+        got = view_log_likelihood_nodes(view, pts, log_columns(pts))
+        np.testing.assert_array_equal(got, 2.0**63 * np.log(pts[:, 0]))
+
 
 def full_column_view_loglik(view, pts, terms=power_terms):
     """The aggregated view likelihood with `terms` over every visible side."""
@@ -179,8 +166,8 @@ def full_column_view_loglik(view, pts, terms=power_terms):
     sides = np.asarray(view.visible_sides) - 1
     mv = np.asarray([c for _, c in view.visible], dtype=float)
     rest = view.n - float(mv.sum())
-    coef = (log_factorial(view.n) - float(np.sum(log_factorial(mv.astype(np.int64))))
-            - log_factorial(int(rest)))
+    coef = (math.lgamma(view.n + 1) - float(np.sum([math.lgamma(c + 1) for c in mv]))
+            - math.lgamma(rest + 1))
     out = coef + terms(mv, pts[:, sides]).sum(axis=1)
     if rest > 0:
         out += terms(rest, np.maximum(1.0 - pts[:, sides].sum(axis=1), 0.0))

@@ -13,7 +13,6 @@ from maxent_agents import (
     PriorSpec,
     belief_divergence,
     complete_network,
-    explicit_network,
     infer_all,
     posterior,
     posterior_summary,
@@ -22,6 +21,7 @@ from maxent_agents import (
     views_at_round,
 )
 from maxent_agents.engine import MARGINAL_ABSCISSA
+from maxent_agents.network import AgentNetwork
 
 FLAT3 = PriorSpec.flat(3)
 BIAS = ConstraintSpec.of([1.0, 0.0, -2.0], 0.0)
@@ -58,7 +58,7 @@ class TestBuildNetwork:
                 assert len(net.neighbors(agent)) == 6
 
     def test_explicit_isolated(self):
-        net = explicit_network(3, [])
+        net = AgentNetwork(3, [])
         assert net.edges == ()
         assert all(net.neighbors(a) == () for a in (1, 2, 3))
 
@@ -75,9 +75,16 @@ class TestBuildNetwork:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="self-loop"):
-            explicit_network(3, [(1, 1)])
+            AgentNetwork(3, [(1, 1)])
         with pytest.raises(ValueError, match="out of range"):
-            explicit_network(3, [(1, 4)])
+            AgentNetwork(3, [(1, 4)])
+
+    def test_edges_normalized(self):
+        # Any order, either orientation, repeats: each edge stored once, (low, high).
+        net = AgentNetwork(4, [[3, 1], (2, 4), (1, 3), (4, 2), (1, 2)])
+        assert net.edges == ((1, 2), (1, 3), (2, 4))
+        assert net == AgentNetwork(4, ((1, 2), (1, 3), (2, 4)))
+        assert net.neighbors(1) == (2, 3) and net.neighbors(4) == (2,)
 
 
 class TestViewsAtRound:
@@ -115,7 +122,7 @@ class TestViewsAtRound:
                 previous = sides
 
     def test_isolated_rounds_equal(self):
-        net = explicit_network(3, [])
+        net = AgentNetwork(3, [])
         counts = CountVector.of([7, 2, 1])
         assert views_at_round(net, counts, 0) == views_at_round(net, counts, 5)
 
@@ -155,7 +162,7 @@ class TestInferAll:
         assert 0.6 <= mode <= 0.8
 
     def test_round_at_diameter_matches_full_view(self, eng240):
-        net = explicit_network(3, [(1, 2), (2, 3)])  # path graph, diameter 2
+        net = AgentNetwork(3, [(1, 2), (2, 3)])  # path graph, diameter 2
         counts = CountVector.of([4, 3, 3])
         table = infer_all(net, counts, 2, FLAT3, BIAS, eng240)
         solved = solve_beta(FLAT3, AgentView.full(counts), BIAS, eng240)
