@@ -95,16 +95,19 @@ class PriorSpec:
     def k(self) -> int:
         return len(self.dirichlet_params)
 
-    def log_rel_density(self, log_nodes: np.ndarray) -> np.ndarray:
+    def log_rel_density(self, log_nodes: np.ndarray) -> np.ndarray | float:
         """log density relative to the flat Dirichlet reference, from the nodes' log columns.
 
         The power product prod_i theta_i^{alpha_i - 1} goes through
-        `log_power`: sides with alpha_i = 1 are skipped, so a flat prior is
-        its constant (0) everywhere.  The others give +inf (alpha < 1) or
-        -inf (alpha > 1) on faces.
+        `log_power`: sides with alpha_i = 1 are skipped, so a flat prior
+        returns its constant (0.0) as a float, which broadcasts to the array
+        form bit for bit.  The others give +inf (alpha < 1) or -inf
+        (alpha > 1) on faces.
         """
         alpha = np.asarray(self.dirichlet_params)
         const = math.lgamma(alpha.sum()) - sum(map(math.lgamma, alpha)) - math.lgamma(self.k)
+        if np.all(alpha == 1.0):
+            return const
         return const + log_power(alpha - 1.0, log_nodes)
 
 
@@ -224,7 +227,8 @@ class McEngine:
         params = self.proposal_params(prior, view)
         theta = sample_dirichlet(params, self.samples, self.seed)
         log_nodes = np.ascontiguousarray(np.log(theta).T)
-        logw = -np.log(self.samples) - PriorSpec.of(params).log_rel_density(log_nodes)
+        logw = (np.full(self.samples, -np.log(self.samples))
+                - PriorSpec.of(params).log_rel_density(log_nodes))
         return NodeSet(theta, log_nodes, logw)
 
     def descriptor(self) -> dict:
@@ -459,14 +463,17 @@ class Belief:
     def view(self) -> AgentView:
         return self.solved.family.view
 
-    def log_density_at(self, points: np.ndarray, log_points: np.ndarray) -> np.ndarray:
+    def log_density_at(self, points: np.ndarray, log_points: np.ndarray,
+                       f: np.ndarray | None = None) -> np.ndarray:
         """log posterior density (relative to the flat reference) at an (N, k)
-        array of points, given their (k, N) log columns."""
+        array of points, given their (k, N) log columns and, if known, the
+        constraint's f at them (else `f_values` computes it)."""
         fam = self.solved.family
+        f = fam.spec.f_values(points) if f is None else f
         return (
             fam.prior.log_rel_density(log_points)
             + view_log_likelihood_nodes(fam.view, points, log_points)
-            + fam.spec.f_values(points) * self.solved.beta
+            + f * self.solved.beta
             - self.solved.log_zeta
         )
 

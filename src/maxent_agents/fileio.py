@@ -67,48 +67,68 @@ def as_field(value: Any, name: str, kind: Any = int):
 
 
 _quoted = functools.lru_cache(maxsize=1024)(json.dumps)  # object keys, quoted once
+# Formatter of each exact scalar type; numpy scalars and other subclasses take
+# `dumps_canonical`'s isinstance fallback.
+_SCALARS = {float: _format_float, int: int.__repr__, str: json.dumps,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _float_row(row: Sequence[float]) -> str:
+    """'[x, y, ...]' for a non-empty row of exact floats, each as `_format_float`
+    prints it: one format call for the row, then ".0" on the integral entries.
+    Zeros, the usual ones, print as "0" or "-0" and are mended by two replaces."""
+    if not all(map(math.isfinite, row)):
+        return "[" + ", ".join(map(_format_float, row)) + "]"  # raises on the first
+    text = " " + ("%.17g, " * len(row) % tuple(row))[:-1]  # " x, y, ..., z,"
+    integral = sum(map(float.is_integer, row))
+    if integral:
+        text = text.replace(" 0,", " 0.0,").replace(" -0,", " -0.0,")
+        if integral > row.count(0.0):
+            return "[" + ", ".join([v if "." in v or "e" in v else v + ".0"
+                                    for v in text[1:-1].split(", ")]) + "]"
+    return "[" + text[1:-1] + "]"
 
 
 def dumps_canonical(obj: Any, indent: int = 0, memo: dict | None = None) -> str:
-    """Deterministic JSON emitter; floats at 17 significant digits.  A list or
+    """Deterministic JSON emitter; floats at 17 significant digits.  Scalars are
+    formatted by their exact type, inline in their list or object.  A list or
     object held in several places of `obj` is formatted once per indent:
     `memo` maps (id, indent) to its text for the length of one call."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
     memo = {} if memo is None else memo
     key = (id(obj), indent)
     if key in memo:
         return memo[key]
+
+    def nested(v: Any) -> str:
+        fmt = _SCALARS.get(type(v))
+        return fmt(v) if fmt else dumps_canonical(v, indent + 1, memo)
+
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = set(map(type, obj))
+        if types == {float}:
+            return memo.setdefault(key, _float_row(obj))
+        if all(issubclass(t, (int, float)) and t is not bool for t in types):
+            return "[" + ", ".join([nested(v) for v in obj]) + "]"
+        items = ",\n".join([inner + nested(v) for v in obj])
+        return memo.setdefault(key, "[\n" + items + "\n" + pad + "]")
+    if isinstance(obj, Mapping):
+        if not obj:
+            return "{}"
+        items = ",\n".join([f"{inner}{_quoted(str(k))}: {nested(v)}" for k, v in obj.items()])
+        return memo.setdefault(key, "{\n" + items + "\n" + pad + "}")
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return _format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, Mapping):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{_quoted(str(k))}: {dumps_canonical(v, indent + 1, memo)}"
-            for k, v in obj.items()
-        )
-        return memo.setdefault(key, "{\n" + items + "\n" + pad + "}")
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(type(v) is float for v in obj):
-            if all(map(math.isfinite, obj)) and not any(map(float.is_integer, obj)):
-                # every value prints with a "." or an "e": one format call for all
-                return memo.setdefault(key, "[" + ("%.17g, " * len(obj) % tuple(obj))[:-2] + "]")
-            return memo.setdefault(key, "[" + ", ".join(map(_format_float, obj)) + "]")
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-            return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
-        items = ",\n".join(f"{inner}{dumps_canonical(v, indent + 1, memo)}" for v in obj)
-        return memo.setdefault(key, "[\n" + items + "\n" + pad + "]")
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

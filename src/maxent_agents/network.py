@@ -161,7 +161,9 @@ def belief_divergence(table: BeliefTable, a: int, b: int) -> float:
     KL(p_a || p_b) + KL(p_b || p_a), each term evaluated under the node set
     of the belief whose expectation it is (its nodes and kept weights);
     >= 0, and 0 exactly when the two densities coincide on all nodes;
-    agents sharing one fit get 0.0 at once.
+    agents sharing one fit get 0.0 at once.  Both densities of a term take
+    f at the nodes from that belief's family when the two share the
+    constraint's f, so only the view likelihood is evaluated per belief.
     """
     for agent in (a, b):
         if agent not in table.entries:
@@ -171,9 +173,10 @@ def belief_divergence(table: BeliefTable, a: int, b: int) -> float:
         return 0.0
 
     def one_sided(p: Belief, q: Belief) -> float:
-        ns = p.solved.family.nodes
-        log_p = p.log_density_at(ns.nodes, ns.log_nodes)
-        log_q = q.log_density_at(ns.nodes, ns.log_nodes)
+        fam = p.solved.family
+        ns, shared_f = fam.nodes, fam.spec.f == q.solved.family.spec.f
+        log_p = p.log_density_at(ns.nodes, ns.log_nodes, fam.f)
+        log_q = q.log_density_at(ns.nodes, ns.log_nodes, fam.f if shared_f else None)
         return float((p.solved.weights * (log_p - log_q)).sum())  # fixed order, no BLAS
 
     return one_sided(pa, pb) + one_sided(pb, pa)

@@ -151,6 +151,46 @@ def view_loglik_aggregated(k: int, n: int, visible: dict[int, int],
     return out
 
 
+def full_column_view_loglik(view, pts, terms=power_terms):
+    """The aggregated view likelihood with `terms` over every visible side."""
+    if not view.visible:
+        return np.zeros(pts.shape[0])
+    sides = np.asarray(view.visible_sides) - 1
+    mv = np.asarray([c for _, c in view.visible], dtype=float)
+    rest = view.n - float(mv.sum())
+    coef = (math.lgamma(view.n + 1) - float(np.sum([math.lgamma(c + 1) for c in mv]))
+            - math.lgamma(rest + 1))
+    out = coef + terms(mv, pts[:, sides]).sum(axis=1)
+    if rest > 0:
+        out += terms(rest, np.maximum(1.0 - pts[:, sides].sum(axis=1), 0.0))
+    return out
+
+
+def divergence_reference(p, q) -> tuple[float, float]:
+    """(KL(p || q) + KL(q || p), the error scale of that sum) for two fitted
+    beliefs, from scratch: each density is rebuilt from its prior
+    (`math.lgamma`), its view (`full_column_view_loglik`) and its own
+    constraint's f as an explicit sum over sides, on the nodes and with the
+    kept weights of the belief whose expectation each term is, and summed
+    with `math.fsum`.  The scale is sum_j w_j (|log p_j| + |log q_j|) over
+    both terms: a divergence near 0 is a difference of numbers that size."""
+
+    def log_density(belief, pts: np.ndarray) -> np.ndarray:
+        fam, solved = belief.solved.family, belief.solved
+        f = sum(c * pts[:, i] for i, c in enumerate(fam.spec.f))
+        return (dirichlet_log_rel(fam.prior.dirichlet_params, pts)
+                + full_column_view_loglik(fam.view, pts)
+                + solved.beta * f - solved.log_zeta)
+
+    total, scale = 0.0, 0.0
+    for a, b in ((p, q), (q, p)):
+        pts, w = a.solved.family.nodes.nodes, a.solved.weights
+        log_a, log_b = log_density(a, pts), log_density(b, pts)
+        total += math.fsum((w * (log_a - log_b)).tolist())
+        scale += math.fsum((w * (np.abs(log_a) + np.abs(log_b))).tolist())
+    return total, scale
+
+
 def tilted_flat_posterior(r: int, f_coeffs, target: float):
     """Empty-view flat-prior solve on an independent grid.
 

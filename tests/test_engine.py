@@ -24,7 +24,7 @@ from maxent_agents import (
 )
 from maxent_agents import simplex as simplex_module
 from maxent_agents.engine import (BETA_CAP, MARGINAL_BINS, SOLVER_TOL, EngineRangeError,
-                                  _TiltedFamily, grid_levels)
+                                  _TiltedFamily, grid_levels, tilt_table)
 from maxent_agents.network import fit_view
 from maxent_agents.simplex import NODE_BUDGET, NodeBudgetError, NodeSet, marginal_bins
 
@@ -115,6 +115,39 @@ class TestPriorDensity:
                 np.testing.assert_array_equal(got, ref)
             else:
                 assert_row_sums_close(got, ref, power_terms(alpha - 1.0, pts))
+
+
+class TestFlatPrior:
+    """A flat prior's term is its constant, a float, so adding it costs no
+    pass over the nodes; it must act exactly as the (N,) array it stands for."""
+
+    @pytest.mark.parametrize("k", [2, 3, 16])
+    def test_constant_equals_array_form(self, k):
+        pts = nodes_with_zeros(k, 5 if k > 4 else 12, 300, seed=k)
+        got = PriorSpec.flat(k).log_rel_density(log_columns(pts))
+        assert isinstance(got, float)
+        const = math.lgamma(k) - k * math.lgamma(1.0) - math.lgamma(k)
+        array_form = const + power_product_full(np.zeros(k), pts)
+        np.testing.assert_array_equal(np.broadcast_to(got, array_form.shape), array_form)
+        # Added to node data (signed zeros included) it gives the same bits.
+        a = np.concatenate([np.zeros(3), -np.zeros(3), pts[:, 0] - 0.5])
+        assert (a + got).tobytes() == (a + (const + np.zeros(a.size))).tobytes()
+
+    def test_mc_flat_proposal_keeps_node_array(self):
+        # With a flat prior and n = 0 the proposal is flat too, so its density
+        # term is a float; the log-weights must still be one per draw.
+        engine, view = McEngine(3, 5000, 0), AgentView.empty(3, 0)
+        nodes = engine.basis(FLAT3, view)
+        assert isinstance(nodes, NodeSet)
+        assert nodes.log_weights.shape == (5000,)
+        assert not nodes.log_weights.flags.writeable
+        np.testing.assert_array_equal(nodes.log_weights, np.full(5000, -np.log(5000)))
+        belief = fit_view(FLAT3, view, BIAS, engine)
+        assert abs(belief.solved.expected_f - BIAS.F) <= SOLVER_TOL
+        assert belief.normalization == pytest.approx(1.0, abs=1e-12)
+        rows = tilt_table(FLAT3, view, BIAS, [-1.0, 0.0, 1.0], engine)
+        assert rows[1][0] == pytest.approx(0.0, abs=1e-12)
+        assert rows[0][1] < rows[1][1] < rows[2][1]
 
 
 class TestLogZeta:

@@ -20,6 +20,7 @@ from maxent_agents.multinomial import log_power, view_log_likelihood_nodes
 from oracles import (
     assert_row_sums_close,
     compositions,
+    full_column_view_loglik,
     log_columns,
     log_multinomial_pmf,
     nodes_with_zeros,
@@ -157,21 +158,6 @@ class TestViewLikelihood:
         pts = np.array([[0.5, 0.3, 0.2], [0.25, 0.25, 0.5], [1.0, 0.0, 0.0]])
         got = view_log_likelihood_nodes(view, pts, log_columns(pts))
         np.testing.assert_array_equal(got, 2.0**63 * np.log(pts[:, 0]))
-
-
-def full_column_view_loglik(view, pts, terms=power_terms):
-    """The aggregated view likelihood with `terms` over every visible side."""
-    if not view.visible:
-        return np.zeros(pts.shape[0])
-    sides = np.asarray(view.visible_sides) - 1
-    mv = np.asarray([c for _, c in view.visible], dtype=float)
-    rest = view.n - float(mv.sum())
-    coef = (math.lgamma(view.n + 1) - float(np.sum([math.lgamma(c + 1) for c in mv]))
-            - math.lgamma(rest + 1))
-    out = coef + terms(mv, pts[:, sides]).sum(axis=1)
-    if rest > 0:
-        out += terms(rest, np.maximum(1.0 - pts[:, sides].sum(axis=1), 0.0))
-    return out
 
 
 class TestPowerKernel:

@@ -21,7 +21,9 @@ from maxent_agents import (
     views_at_round,
 )
 from maxent_agents.engine import MARGINAL_ABSCISSA
-from maxent_agents.network import AgentNetwork
+from maxent_agents.network import AgentNetwork, BeliefTable, fit_view
+
+from oracles import divergence_reference
 
 FLAT3 = PriorSpec.flat(3)
 BIAS = ConstraintSpec.of([1.0, 0.0, -2.0], 0.0)
@@ -236,7 +238,63 @@ class TestInferAll:
             assert str(err) == f"agent {agent}: {direct.value}"
 
 
+def assert_divergences_match_oracle(table):
+    """Every off-diagonal divergence equals the from-scratch oracle to 1e-12
+    relative; an entry at roundoff (beliefs that coincide) is held to 1e-14
+    of the oracle's error scale instead."""
+    agents = sorted(table.entries)
+    for a in agents:
+        for b in agents:
+            if a != b:
+                ref, scale = divergence_reference(table.entries[a], table.entries[b])
+                assert belief_divergence(table, a, b) == pytest.approx(
+                    ref, rel=1e-12, abs=1e-14 * scale)
+
+
 class TestBeliefDivergence:
+    @pytest.mark.parametrize("round", [0, 1])
+    def test_triangle_lattice_matches_oracle(self, round):
+        # At round 1 every agent of the 2x2 patch misses at most one side,
+        # which n fixes, so the beliefs coincide and the entries are roundoff.
+        prior = PriorSpec.of([1.0, 2.0, 0.5, 1.0])
+        constraint = ConstraintSpec.of([1.0, 0.0, 0.5, -2.0], 0.0)
+        table = infer_all(triangle_lattice_network(2, 2), CountVector.of([5, 3, 2, 2]), round,
+                          prior, constraint, GridEngine(4, 12))
+        assert sorted(table.entries) == [1, 2, 3, 4]
+        assert_divergences_match_oracle(table)
+
+    def test_complete_round0_matches_oracle(self):
+        table = infer_all(complete_network(3), CountVector.of([7, 2, 1]), 0, FLAT3, BIAS,
+                          GridEngine(3, 60))
+        assert min(belief_divergence(table, 1, b) for b in (2, 3)) > 1.0
+        assert_divergences_match_oracle(table)
+
+    def test_different_constraints_match_oracle(self, monkeypatch):
+        # One view, two constraint f: each density needs its own f, so taking
+        # f from the other belief's family would be wrong here.
+        engine, view = GridEngine(3, 60), AgentView.from_mapping(3, 10, {1: 7})
+        table = BeliefTable({1: fit_view(FLAT3, view, BIAS, engine),
+                             2: fit_view(FLAT3, view, ConstraintSpec.of([0.0, 1.0, -1.0], 0.25),
+                                         engine)}, {})
+        assert_divergences_match_oracle(table)
+        assert belief_divergence(table, 1, 2) > 1.0
+        calls = []
+        f_values = ConstraintSpec.f_values
+        monkeypatch.setattr(ConstraintSpec, "f_values",
+                            lambda spec, nodes: calls.append(spec) or f_values(spec, nodes))
+        belief_divergence(table, 1, 2)
+        assert len(calls) == 2  # q's f on p's nodes, once per side
+
+    def test_shared_constraint_takes_f_from_family(self, eng240, monkeypatch):
+        table = infer_all(complete_network(3), CountVector.of([7, 2, 1]), 0, FLAT3, BIAS, eng240)
+        expected = belief_divergence(table, 1, 3)
+
+        def refuse(spec, nodes):
+            raise AssertionError("f recomputed for a shared constraint")
+
+        monkeypatch.setattr(ConstraintSpec, "f_values", refuse)
+        assert belief_divergence(table, 1, 3) == expected
+
     def test_identical_views_zero(self, eng240):
         net = complete_network(3)
         table = infer_all(net, CountVector.of([5, 3, 2]), 1, FLAT3, BIAS, eng240)
