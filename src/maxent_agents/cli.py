@@ -31,7 +31,6 @@ from .fileio import (
     load_config,
     parse_constraint_shorthand,
     read_counts,
-    view_to_payload,
     write_counts,
     write_payload,
     write_sweep_csv,
@@ -145,7 +144,8 @@ def _parse_view(text: str | None, counts: CountVector) -> AgentView:
 def _agent_payload(belief: Belief, s_me: float) -> dict:
     solved = belief.solved
     return {
-        "view": view_to_payload(belief.view),
+        "view": {"k": belief.view.k, "n": belief.view.n,
+                 "visible": [[s, c] for s, c in belief.view.visible]},
         "beta": solved.beta,
         "log_zeta": solved.log_zeta,
         "residual": solved.residual,
@@ -157,6 +157,19 @@ def _agent_payload(belief: Belief, s_me: float) -> dict:
         "marginal_abscissa": MARGINAL_ABSCISSA,  # one shared tuple: formatted once
         "marginals": [list(row) for row in belief.marginals],
     }
+
+
+def _write_record(out: str, config: ExperimentConfig, counts: CountVector, engine,
+                  agents: list[dict], iterations: list[int], **extra: Any) -> None:
+    """Write the infer and network record: config, counts, agents, the
+    command's `extra` keys, then meta, in that order."""
+    write_payload(out, {
+        "config": config.to_payload(),
+        "counts": list(counts.counts),
+        "agents": agents,
+        **extra,
+        "meta": {"engine": engine.descriptor(), "solver_iterations": iterations},
+    })
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -177,16 +190,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
     s_me = me_entropy(belief)
     elapsed = time.perf_counter() - t0
     solved = belief.solved
-    record = {
-        "config": config.to_payload(),
-        "counts": list(counts.counts),
-        "agents": [_agent_payload(belief, s_me)],
-        "meta": {
-            "engine": engine.descriptor(),
-            "solver_iterations": [solved.iterations],
-        },
-    }
-    write_payload(args.out, record)
+    _write_record(args.out, config, counts, engine, [_agent_payload(belief, s_me)],
+                  [solved.iterations])
     print(f"infer: beta={solved.beta:.6g} residual={solved.residual:.3g} "
           f"({elapsed:.2f}s)", file=sys.stderr)
     return EXIT_OK
@@ -208,7 +213,8 @@ def cmd_network(args: argparse.Namespace) -> int:
             agents_payload.append({"agent": agent, **bodies[belief]})
             iterations.append(belief.solved.iterations)
         else:
-            agents_payload.append({"agent": agent, "error": str(table.errors[agent])})
+            agents_payload.append({"agent": agent,
+                                   "error": f"agent {agent}: {table.errors[agent]}"})
     ok_agents = sorted(table.entries)
     divergences = [
         [
@@ -218,18 +224,8 @@ def cmd_network(args: argparse.Namespace) -> int:
         for a in ok_agents
     ]
     elapsed = time.perf_counter() - t0
-    record = {
-        "config": config.to_payload(),
-        "counts": list(counts.counts),
-        "agents": agents_payload,
-        "divergence_agents": ok_agents,
-        "divergences": divergences,
-        "meta": {
-            "engine": engine.descriptor(),
-            "solver_iterations": iterations,
-        },
-    }
-    write_payload(args.out, record)
+    _write_record(args.out, config, counts, engine, agents_payload, iterations,
+                  divergence_agents=ok_agents, divergences=divergences)
     print(f"network: {len(ok_agents)}/{net.k} agents converged ({elapsed:.2f}s)",
           file=sys.stderr)
     if not table.entries:

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from .engine import DEFAULT_MC_SAMPLES, DEFAULT_RESOLUTION, ConstraintSpec, GridEngine, McEngine
-from .multinomial import AgentView, CountVector
+from .multinomial import CountVector
 from .network import AgentNetwork, complete_network, triangle_lattice_network
 from .simplex import NODE_BUDGET, ThetaPoint
 
@@ -354,10 +354,6 @@ def read_counts(path: str | Path) -> CountVector:
     if counts.n != n:
         raise ValueError(f"counts file n={n} but counts sum to {counts.n}")
     return counts
-
-
-def view_to_payload(view: AgentView) -> dict:
-    return {"k": view.k, "n": view.n, "visible": [[s, c] for s, c in view.visible]}
 
 
 def write_sweep_csv(path: str | Path, rows: Sequence[Mapping[str, float]]) -> None:

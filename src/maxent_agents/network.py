@@ -13,7 +13,6 @@ collected in agent-index order.
 """
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
@@ -126,8 +125,8 @@ def infer_all(net: AgentNetwork, counts: CountVector, round: int, prior: PriorSp
 
     Each distinct view is fitted once per call and every agent holding it
     gets the same entry.  One view failing (infeasible constraint,
-    non-convergence) does not abort the others; each agent holding it gets
-    its own copy of the exception, prefixed with its agent index.
+    non-convergence) does not abort the others; every agent holding it gets
+    the exception as raised, one object shared among them.
     """
     views = views_at_round(net, counts, round)
     fits: dict[AgentView, Belief | Exception] = {}
@@ -141,18 +140,8 @@ def infer_all(net: AgentNetwork, counts: CountVector, round: int, prior: PriorSp
             except Exception as exc:  # noqa: BLE001 - per-agent isolation is the contract
                 fits[view] = exc
         fit = fits[view]
-        if isinstance(fit, Belief):
-            entries[agent] = fit
-        else:
-            errors[agent] = _agent_error(agent, fit)
+        (entries if isinstance(fit, Belief) else errors)[agent] = fit
     return BeliefTable(entries=entries, errors=errors)
-
-
-def _agent_error(agent: int, exc: Exception) -> Exception:
-    """A copy of `exc` whose message names the agent; `exc` is left as it is."""
-    err = copy.copy(exc)
-    err.args = (f"agent {agent}: {exc}",) + exc.args[1:]
-    return err.with_traceback(exc.__traceback__)
 
 
 def belief_divergence(table: BeliefTable, a: int, b: int) -> float:

@@ -220,6 +220,33 @@ class TestPowerKernel:
                 bound = 4 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
                 assert np.all(np.abs(got - terms.sum(axis=1)) <= bound)
 
+    @pytest.mark.parametrize("k, r", [(3, 240), (4, 60), (16, 5)])
+    def test_rest_sum_is_left_to_right_column_sum(self, k, r):
+        # On a grid, 1 - sum of the visible theta equals, bit for bit, the
+        # node columns added left to right, for every number of visible
+        # sides; a kernel that sums a (k, N) column table in that order can
+        # then replace the row gather without moving any grid output.
+        grid = build_grid(k, r)
+        rng = np.random.default_rng(k)
+        for kept in range(1, k):
+            for sides in (np.arange(kept), np.arange(k - kept, k),
+                          np.sort(rng.choice(k, kept, replace=False))):
+                counts = rng.choice([0, 1, 2, 5], size=kept)
+                n = int(counts.sum()) + 4
+                view = AgentView.from_mapping(k, n, dict(zip(sides + 1, counts.tolist())))
+                e = np.zeros(k)
+                e[sides] = counts
+                visible_sum = grid.nodes[:, sides[0]].copy()
+                for s in sides[1:]:
+                    visible_sum += grid.nodes[:, s]
+                rest_count = float(n - counts.sum())
+                ref = (math.lgamma(n + 1.0) - float(np.sum([math.lgamma(c + 1.0) for c in counts]))
+                       - math.lgamma(rest_count + 1.0)) + log_power(e, grid.log_nodes)
+                with np.errstate(divide="ignore"):
+                    ref += rest_count * np.log(np.maximum(1.0 - visible_sum, 0.0))
+                    got = view_log_likelihood_nodes(view, grid.nodes, grid.log_nodes)
+                np.testing.assert_array_equal(got, ref)
+
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError, match="expected 3"):
             log_power(np.ones(3), np.full((2, 4), np.log(0.25)))

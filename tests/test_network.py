@@ -1,12 +1,15 @@
 """Network presets, visibility rounds, per-agent inference, divergences."""
+import json
+
 import numpy as np
 import pytest
 
-from maxent_agents import network
+from maxent_agents import cli, network
 from maxent_agents import (
     AgentView,
     ConstraintSpec,
     CountVector,
+    EngineSettings,
     ExperimentConfig,
     GridEngine,
     InfeasibleConstraintError,
@@ -21,6 +24,7 @@ from maxent_agents import (
     views_at_round,
 )
 from maxent_agents.engine import MARGINAL_ABSCISSA
+from maxent_agents.fileio import write_payload
 from maxent_agents.network import AgentNetwork, BeliefTable, fit_view
 
 from oracles import divergence_reference
@@ -33,6 +37,21 @@ def summary(belief):
     """The numbers a belief reports beside its fit, for comparing two by value."""
     return (belief.solved.expected_f, belief.means, belief.variances, belief.normalization,
             belief.marginals)
+
+
+def network_record(tmp_path, counts, *flags, **config):
+    """Run the `network` command on a flat-prior k=3 config with the BIAS
+    constraint (`config` overrides its fields); return (exit code, record)."""
+    base = {"k": 3, "n": sum(counts), "seed": 7, "prior": [1.0] * 3,
+            "constraint": {"f": list(BIAS.f), "F": BIAS.F},
+            "network": {"preset": "complete"}, "round": 1, "engine": {"grid": 240}}
+    write_payload(tmp_path / "c.json", {**base, **config})
+    write_payload(tmp_path / "n.json", {"k": len(counts), "n": sum(counts), "counts": counts,
+                                         "seed": 7})
+    code = cli.main(["network", "--config", str(tmp_path / "c.json"),
+                     "--counts", str(tmp_path / "n.json"), "--out", str(tmp_path / "o.json"),
+                     *flags])
+    return code, json.loads((tmp_path / "o.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +191,7 @@ class TestInferAll:
         for agent in (1, 2, 3):
             assert summary(table.entries[agent]) == direct
 
-    def test_per_agent_failure_isolated(self, eng240):
+    def test_per_agent_failure_isolated(self, eng240, tmp_path, monkeypatch):
         class FlakyEngine:
             """Delegates to a grid engine but refuses one particular view."""
 
@@ -193,7 +212,13 @@ class TestInferAll:
         table = infer_all(net, counts, 0, FLAT3, BIAS, FlakyEngine(eng240, 2))
         assert sorted(table.entries) == [1, 3]
         assert list(table.errors) == [2]
-        assert "agent 2" in str(table.errors[2])
+        assert str(table.errors[2]) == "boom"  # as raised; the record names the agent
+        monkeypatch.setattr(EngineSettings, "build", lambda self, k: FlakyEngine(eng240, 2))
+        code, record = network_record(tmp_path, [7, 2, 1], "--round", "0")
+        assert code == 0
+        assert record["agents"][1] == {"agent": 2, "error": "agent 2: boom"}
+        assert [a["agent"] for a in record["agents"]] == [1, 2, 3]
+        assert record["divergence_agents"] == [1, 3]
 
     def test_all_agents_fail_infeasible(self, eng240):
         net = complete_network(3)
@@ -225,17 +250,24 @@ class TestInferAll:
         entries = [table.entries[a] for a in (1, 2, 3)]
         assert entries[0] is entries[1] is entries[2]
 
-    def test_shared_failure_gives_each_agent_its_own_error(self, eng240):
+    def test_shared_failure_gives_each_agent_its_own_error(self, eng240, tmp_path):
+        # The table keeps the one exception the shared view raised; the
+        # written record gives each agent holding it its own message.
         counts = CountVector.of([7, 2, 1])
         bad = ConstraintSpec.of([1.0, 0.0, -2.0], 1.5)
         with pytest.raises(InfeasibleConstraintError) as direct:
             solve_beta(FLAT3, AgentView.full(counts), bad, eng240)
         table = infer_all(complete_network(3), counts, 1, FLAT3, bad, eng240)
         errors = [table.errors[a] for a in (1, 2, 3)]
-        assert len({id(e) for e in errors}) == 3
-        for agent, err in zip((1, 2, 3), errors):
-            assert isinstance(err, InfeasibleConstraintError)
-            assert str(err) == f"agent {agent}: {direct.value}"
+        assert errors[0] is errors[1] is errors[2]
+        assert isinstance(errors[0], InfeasibleConstraintError)
+        assert str(errors[0]) == str(direct.value)
+        code, record = network_record(tmp_path, [7, 2, 1], constraint={"f": list(bad.f),
+                                                                        "F": bad.F})
+        assert code == 2
+        assert record["agents"] == [{"agent": a, "error": f"agent {a}: {direct.value}"}
+                                    for a in (1, 2, 3)]
+        assert record["divergence_agents"] == [] and record["divergences"] == []
 
 
 def assert_divergences_match_oracle(table):
@@ -311,7 +343,25 @@ class TestBeliefDivergence:
         for a, b in [(1, 2), (1, 3), (2, 3)]:
             d1, d2 = belief_divergence(table, a, b), belief_divergence(table, b, a)
             assert d1 >= 0.0
-            assert d1 == pytest.approx(d2, rel=1e-12)
+            assert d1 == d2  # the two one-sided terms, added in either order
+
+    @pytest.mark.parametrize("counts, config", [
+        ([5, 3, 2, 2], {"k": 4, "prior": [1.0, 2.0, 0.5, 1.0],
+                        "constraint": {"f": [1.0, 0.0, 0.5, -2.0], "F": 0.0},
+                        "network": {"preset": "triangle-lattice", "rows": 2, "cols": 2},
+                        "round": 1, "engine": {"grid": 12}}),
+        ([7, 2, 1], {"round": 0, "engine": {"grid": 60}}),
+    ])
+    def test_written_matrix_exactly_symmetric(self, tmp_path, counts, config):
+        code, record = network_record(tmp_path, counts, **config)
+        assert code == 0
+        d = np.array(record["divergences"])
+        assert d.shape == (config.get("k", 3),) * 2
+        np.testing.assert_array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
+        # Off the diagonal: real divergences at round 0; at round 1 the 2x2
+        # beliefs coincide to roundoff, and agents 2 and 3 share one fit (0.0).
+        assert d.any()
 
     def test_missing_agent(self, eng240):
         net = complete_network(3)
