@@ -46,10 +46,9 @@ MAX_SWEEP_ROWS = 1_000_000
 
 
 def _add_common(parser: argparse.ArgumentParser, overrides: bool = True) -> None:
-    """--config, --out and --seed; with `overrides`, the engine and constraint overrides."""
+    """--config and --out; with `overrides`, the engine and constraint overrides."""
     parser.add_argument("--config", required=True, help="experiment config (JSON)")
     parser.add_argument("--out", required=True, help="output path")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
     if not overrides:
         return
     parser.add_argument("--grid", type=int, default=None, help="grid resolution override")
@@ -70,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="roll the die, write a counts file")
     _add_common(p, overrides=False)
+    p.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p = sub.add_parser("infer", help="single-agent inference for one view")
     _add_common(p)
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:
     config = load_config(args.config)
     updates: dict[str, Any] = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
     grid, samples, constraint = (getattr(args, key, None)
                                  for key in ("grid", "mc_samples", "constraint"))
@@ -201,24 +201,23 @@ def cmd_network(args: argparse.Namespace) -> int:
     config, counts, prior, constraint, engine = _problem(args)
     net = config.build_network()
     t0 = time.perf_counter()
-    table = infer_all(net, counts, config.round, prior, constraint, engine)
+    entries, errors = infer_all(net, counts, config.round, prior, constraint, engine)
     agents_payload = []
     iterations = []
     bodies = {}  # belief -> agent body, keyed by identity; agents sharing a fit share one
     for agent in range(1, net.k + 1):
-        if agent in table.entries:
-            belief = table.entries[agent]
+        if agent in entries:
+            belief = entries[agent]
             if belief not in bodies:
                 bodies[belief] = _agent_payload(belief, me_entropy(belief))
             agents_payload.append({"agent": agent, **bodies[belief]})
             iterations.append(belief.solved.iterations)
         else:
-            agents_payload.append({"agent": agent,
-                                   "error": f"agent {agent}: {table.errors[agent]}"})
-    ok_agents = sorted(table.entries)
+            agents_payload.append({"agent": agent, "error": f"agent {agent}: {errors[agent]}"})
+    ok_agents = sorted(entries)
     divergences = [
         [
-            belief_divergence(table, a, b) if a != b else 0.0
+            belief_divergence(entries, a, b) if a != b else 0.0
             for b in ok_agents
         ]
         for a in ok_agents
@@ -228,9 +227,8 @@ def cmd_network(args: argparse.Namespace) -> int:
                   divergence_agents=ok_agents, divergences=divergences)
     print(f"network: {len(ok_agents)}/{net.k} agents converged ({elapsed:.2f}s)",
           file=sys.stderr)
-    if not table.entries:
-        failures = list(table.errors.values())
-        if all(isinstance(e, InfeasibleConstraintError) for e in failures):
+    if not entries:
+        if all(isinstance(e, InfeasibleConstraintError) for e in errors.values()):
             return EXIT_INFEASIBLE
         return EXIT_NONCONVERGED
     return EXIT_OK

@@ -13,9 +13,7 @@ collected in agent-index order.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
 
 from .engine import Belief, ConstraintSpec, PriorSpec, posterior, posterior_summary, solve_beta
 from .multinomial import AgentView, CountVector
@@ -44,20 +42,6 @@ class AgentNetwork:
         out = [b for a, b in self.edges if a == agent]
         out += [a for a, b in self.edges if b == agent]
         return tuple(sorted(out))
-
-    def agents_within(self, agent: int, distance: int) -> tuple[int, ...]:
-        """All agents at graph distance <= distance of `agent` (BFS)."""
-        seen = {agent: 0}
-        queue = deque([agent])
-        while queue:
-            cur = queue.popleft()
-            if seen[cur] == distance:
-                continue
-            for nxt in self.neighbors(cur):
-                if nxt not in seen:
-                    seen[nxt] = seen[cur] + 1
-                    queue.append(nxt)
-        return tuple(sorted(seen))
 
 
 def complete_network(k: int) -> AgentNetwork:
@@ -90,7 +74,8 @@ def views_at_round(net: AgentNetwork, counts: CountVector, round: int) -> dict[i
     """Each agent's view after `round` hops of glancing.
 
     Agent a sees the counts of the sides of every agent within graph
-    distance <= round, its own side included.
+    distance <= round, its own side included: its seen set grows by one
+    frontier of neighbors per round, and stops once a frontier is empty.
     """
     if counts.k != net.k:
         raise ValueError(f"counts have k={counts.k} but network has k={net.k}")
@@ -98,7 +83,13 @@ def views_at_round(net: AgentNetwork, counts: CountVector, round: int) -> dict[i
         raise ValueError("round must be >= 0")
     views = {}
     for agent in range(1, net.k + 1):
-        visible = {s: counts.counts[s - 1] for s in net.agents_within(agent, round)}
+        seen, frontier = {agent}, {agent}
+        for _ in range(round):
+            frontier = {b for a in frontier for b in net.neighbors(a)} - seen
+            if not frontier:
+                break
+            seen |= frontier
+        visible = {s: counts.counts[s - 1] for s in seen}
         views[agent] = AgentView.from_mapping(net.k, counts.n, visible)
     return views
 
@@ -111,17 +102,11 @@ def fit_view(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
     return posterior_summary(solved, posterior(solved))
 
 
-@dataclass(frozen=True, eq=False)
-class BeliefTable:
-    """Per-agent inference results; failed agents land in `errors`."""
-
-    entries: Mapping[int, Belief]
-    errors: Mapping[int, Exception]
-
-
 def infer_all(net: AgentNetwork, counts: CountVector, round: int, prior: PriorSpec,
-              constraint: ConstraintSpec, engine) -> BeliefTable:
-    """Run the same solve for every agent on its own view.
+              constraint: ConstraintSpec,
+              engine) -> tuple[dict[int, Belief], dict[int, Exception]]:
+    """Run the same solve for every agent on its own view; return
+    (entries, errors), each keyed by agent.
 
     Each distinct view is fitted once per call and every agent holding it
     gets the same entry.  One view failing (infeasible constraint,
@@ -141,10 +126,10 @@ def infer_all(net: AgentNetwork, counts: CountVector, round: int, prior: PriorSp
                 fits[view] = exc
         fit = fits[view]
         (entries if isinstance(fit, Belief) else errors)[agent] = fit
-    return BeliefTable(entries=entries, errors=errors)
+    return entries, errors
 
 
-def belief_divergence(table: BeliefTable, a: int, b: int) -> float:
+def belief_divergence(entries: dict[int, Belief], a: int, b: int) -> float:
     """Symmetrized relative entropy between two agents' posteriors.
 
     KL(p_a || p_b) + KL(p_b || p_a), each term evaluated under the node set
@@ -153,11 +138,9 @@ def belief_divergence(table: BeliefTable, a: int, b: int) -> float:
     agents sharing one fit get 0.0 at once.  Both densities of a term take
     f at the nodes from that belief's family when the two share the
     constraint's f, so only the view likelihood is evaluated per belief.
+    An agent with no entry (unknown, or its fit failed) raises `KeyError`.
     """
-    for agent in (a, b):
-        if agent not in table.entries:
-            raise KeyError(f"agent {agent} has no entry in the belief table")
-    pa, pb = table.entries[a], table.entries[b]
+    pa, pb = entries[a], entries[b]
     if pa is pb:
         return 0.0
 

@@ -166,6 +166,20 @@ def full_column_view_loglik(view, pts, terms=power_terms):
     return out
 
 
+def visible_sides(k: int, edges, agent: int, round: int) -> tuple[int, ...]:
+    """The sides `agent` sees at `round`: those of every agent within graph
+    distance <= round, from all-pairs shortest paths (Floyd-Warshall on the
+    edge list)."""
+    dist = [[0 if i == j else math.inf for j in range(k)] for i in range(k)]
+    for a, b in edges:
+        dist[a - 1][b - 1] = dist[b - 1][a - 1] = 1
+    for m in range(k):
+        for i in range(k):
+            for j in range(k):
+                dist[i][j] = min(dist[i][j], dist[i][m] + dist[m][j])
+    return tuple(s + 1 for s in range(k) if dist[agent - 1][s] <= round)
+
+
 def divergence_reference(p, q) -> tuple[float, float]:
     """(KL(p || q) + KL(q || p), the error scale of that sum) for two fitted
     beliefs, from scratch: each density is rebuilt from its prior

@@ -174,11 +174,11 @@ def test_criterion_6_consensus(eng240):
         net = complete_network(3)
         for _ in range(10):
             counts = CountVector.of(rng.multinomial(10, rng.dirichlet(np.ones(3))))
-            table = infer_all(net, counts, 1, FLAT3, BIAS, eng240)
-            assert not table.errors
+            entries, errors = infer_all(net, counts, 1, FLAT3, BIAS, eng240)
+            assert not errors
             for a in (1, 2, 3):
                 for b in range(a + 1, 4):
-                    assert belief_divergence(table, a, b) <= 1e-8
+                    assert belief_divergence(entries, a, b) <= 1e-8
 
 
 def test_criterion_7_lattice_views_bit_for_bit():
@@ -198,13 +198,13 @@ def test_criterion_7_lattice_views_bit_for_bit():
         assert interior == [6, 7, 10, 11]
         for agent in interior:
             assert len(views[agent].visible) == 7
-        table = infer_all(net, counts, 1, prior, spec, engine)
-        assert not table.errors
+        entries, errors = infer_all(net, counts, 1, prior, spec, engine)
+        assert not errors
         for agent in interior:
             view = views[agent]
             solved = solve_beta(prior, view, spec, engine)
             direct = posterior_summary(solved, posterior(solved))
-            belief = table.entries[agent]
+            belief = entries[agent]
             assert belief.solved.beta == solved.beta
             assert belief.solved.log_zeta == solved.log_zeta
             assert belief.solved.expected_f == solved.expected_f

@@ -560,6 +560,17 @@ class TestInputChecks:
         assert code == 4
         assert err == "error: counts file has n=10, config has n=40\n"
 
+    @pytest.mark.parametrize("command", ["infer", "network", "sweep-beta"])
+    def test_seed_flag_only_on_simulate(self, tmp_path, capsys, command):
+        # config.seed drives only simulate's rolls (Monte-Carlo draws take
+        # engine.mc_seed), so elsewhere the flag only rewrote the echoed seed.
+        argv = [command, "--config", str(write_config(tmp_path / "c.json")), "--seed", "3"]
+        if command == "sweep-beta":
+            argv += ["--beta-min", "0", "--beta-max", "1", "--beta-step", "0.5"]
+        code, err = self._run(tmp_path, capsys, argv)
+        assert code == 4
+        assert err.endswith("error: unrecognized arguments: --seed 3\n")
+
     @pytest.mark.parametrize("command", ["infer", "network"])
     def test_negative_mc_seed(self, tmp_path, capsys, command):
         # It used to reach the sampler: network exited 3 with a file of

@@ -1,5 +1,6 @@
 """Network presets, visibility rounds, per-agent inference, divergences."""
 import json
+import time
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from maxent_agents import (
 )
 from maxent_agents.engine import MARGINAL_ABSCISSA
 from maxent_agents.fileio import write_payload
-from maxent_agents.network import AgentNetwork, BeliefTable, fit_view
+from maxent_agents.network import AgentNetwork, fit_view
 
-from oracles import divergence_reference
+from oracles import divergence_reference, visible_sides
 
 FLAT3 = PriorSpec.flat(3)
 BIAS = ConstraintSpec.of([1.0, 0.0, -2.0], 0.0)
@@ -151,25 +152,45 @@ class TestViewsAtRound:
         with pytest.raises(ValueError, match="k="):
             views_at_round(complete_network(3), CountVector.of([1, 1]), 0)
 
+    @pytest.mark.parametrize("net", [
+        pytest.param(complete_network(3), id="complete-3"),
+        pytest.param(complete_network(5), id="complete-5"),
+        pytest.param(triangle_lattice_network(4, 4), id="lattice-4x4"),
+        pytest.param(triangle_lattice_network(3, 5), id="lattice-3x5"),
+        pytest.param(AgentNetwork(5, [(1, 2), (2, 3), (3, 4), (4, 5)]), id="path-5"),
+        pytest.param(AgentNetwork(6, [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5)]), id="isolated-6"),
+    ])
+    def test_matches_shortest_path_oracle(self, net):
+        counts = CountVector.of(list(range(1, net.k + 1)))
+        for round in (0, 1, 2, 3, 4, 10**9):
+            t0 = time.perf_counter()
+            views = views_at_round(net, counts, round)
+            # Far past the diameter: the rounds after the last new agent cost nothing.
+            assert time.perf_counter() - t0 < 0.25
+            for agent in range(1, net.k + 1):
+                sides = visible_sides(net.k, net.edges, agent, round)
+                assert views[agent] == AgentView.from_mapping(
+                    net.k, counts.n, {s: counts.counts[s - 1] for s in sides})
+
 
 class TestInferAll:
     def test_round1_consensus_identical(self, eng240):
         net = complete_network(3)
         counts = CountVector.of([7, 2, 1])
-        table = infer_all(net, counts, 1, FLAT3, BIAS, eng240)
-        assert not table.errors
-        summaries = [summary(table.entries[a]) for a in (1, 2, 3)]
+        entries, errors = infer_all(net, counts, 1, FLAT3, BIAS, eng240)
+        assert not errors
+        summaries = [summary(entries[a]) for a in (1, 2, 3)]
         assert summaries[0] == summaries[1] == summaries[2]
         for a in (1, 2, 3):
             for b in (1, 2, 3):
                 if a < b:
-                    assert belief_divergence(table, a, b) <= 1e-9
+                    assert belief_divergence(entries, a, b) <= 1e-9
 
     def test_round0_distinct_beliefs(self, eng240):
         net = complete_network(3)
         counts = CountVector.of([7, 2, 1])
-        table = infer_all(net, counts, 0, FLAT3, BIAS, eng240)
-        div = belief_divergence(table, 1, 3)
+        entries, _ = infer_all(net, counts, 0, FLAT3, BIAS, eng240)
+        div = belief_divergence(entries, 1, 3)
         assert div > 1e-3
 
     def test_round0_marginal_mode_near_observed_share(self, eng240):
@@ -177,19 +198,19 @@ class TestInferAll:
         # over theta_1 peaks near the Beta(8, 4) mode of 0.7.
         net = complete_network(3)
         counts = CountVector.of([7, 2, 1])
-        table = infer_all(net, counts, 0, FLAT3, ConstraintSpec.none(3), eng240)
-        belief = table.entries[1]
+        entries, _ = infer_all(net, counts, 0, FLAT3, ConstraintSpec.none(3), eng240)
+        belief = entries[1]
         mode = MARGINAL_ABSCISSA[int(np.argmax(belief.marginals[0]))]
         assert 0.6 <= mode <= 0.8
 
     def test_round_at_diameter_matches_full_view(self, eng240):
         net = AgentNetwork(3, [(1, 2), (2, 3)])  # path graph, diameter 2
         counts = CountVector.of([4, 3, 3])
-        table = infer_all(net, counts, 2, FLAT3, BIAS, eng240)
+        entries, _ = infer_all(net, counts, 2, FLAT3, BIAS, eng240)
         solved = solve_beta(FLAT3, AgentView.full(counts), BIAS, eng240)
         direct = summary(posterior_summary(solved, posterior(solved)))
         for agent in (1, 2, 3):
-            assert summary(table.entries[agent]) == direct
+            assert summary(entries[agent]) == direct
 
     def test_per_agent_failure_isolated(self, eng240, tmp_path, monkeypatch):
         class FlakyEngine:
@@ -209,10 +230,12 @@ class TestInferAll:
 
         net = complete_network(3)
         counts = CountVector.of([7, 2, 1])
-        table = infer_all(net, counts, 0, FLAT3, BIAS, FlakyEngine(eng240, 2))
-        assert sorted(table.entries) == [1, 3]
-        assert list(table.errors) == [2]
-        assert str(table.errors[2]) == "boom"  # as raised; the record names the agent
+        entries, errors = infer_all(net, counts, 0, FLAT3, BIAS, FlakyEngine(eng240, 2))
+        assert sorted(entries) == [1, 3]
+        assert list(errors) == [2]
+        assert str(errors[2]) == "boom"  # as raised; the record names the agent
+        with pytest.raises(KeyError):
+            belief_divergence(entries, 1, 2)  # a failed agent has no belief to compare
         monkeypatch.setattr(EngineSettings, "build", lambda self, k: FlakyEngine(eng240, 2))
         code, record = network_record(tmp_path, [7, 2, 1], "--round", "0")
         assert code == 0
@@ -224,17 +247,17 @@ class TestInferAll:
         net = complete_network(3)
         counts = CountVector.of([7, 2, 1])
         bad = ConstraintSpec.of([1.0, 0.0, -2.0], 1.5)
-        table = infer_all(net, counts, 1, FLAT3, bad, eng240)
-        assert not table.entries
-        assert all(isinstance(e, InfeasibleConstraintError) for e in table.errors.values())
+        entries, errors = infer_all(net, counts, 1, FLAT3, bad, eng240)
+        assert not entries
+        assert all(isinstance(e, InfeasibleConstraintError) for e in errors.values())
 
     def test_equal_views_bitwise_equal(self, eng240):
         # Two agents assigned the same glancing structure see identical views
         # and must produce identical summaries.
         net = complete_network(3)
         counts = CountVector.of([3, 3, 4])
-        table = infer_all(net, counts, 1, FLAT3, BIAS, eng240)
-        assert summary(table.entries[1]) == summary(table.entries[2])
+        entries, _ = infer_all(net, counts, 1, FLAT3, BIAS, eng240)
+        assert summary(entries[1]) == summary(entries[2])
 
     def test_identical_views_fitted_once(self, eng240, monkeypatch):
         calls = []
@@ -245,20 +268,19 @@ class TestInferAll:
 
         monkeypatch.setattr(network, "solve_beta", counting_solve)
         counts = CountVector.of([7, 2, 1])
-        table = infer_all(complete_network(3), counts, 1, FLAT3, BIAS, eng240)
+        entries, _ = infer_all(complete_network(3), counts, 1, FLAT3, BIAS, eng240)
         assert calls == [AgentView.full(counts)]
-        entries = [table.entries[a] for a in (1, 2, 3)]
-        assert entries[0] is entries[1] is entries[2]
+        assert entries[1] is entries[2] is entries[3]
 
     def test_shared_failure_gives_each_agent_its_own_error(self, eng240, tmp_path):
-        # The table keeps the one exception the shared view raised; the
+        # infer_all keeps the one exception the shared view raised; the
         # written record gives each agent holding it its own message.
         counts = CountVector.of([7, 2, 1])
         bad = ConstraintSpec.of([1.0, 0.0, -2.0], 1.5)
         with pytest.raises(InfeasibleConstraintError) as direct:
             solve_beta(FLAT3, AgentView.full(counts), bad, eng240)
-        table = infer_all(complete_network(3), counts, 1, FLAT3, bad, eng240)
-        errors = [table.errors[a] for a in (1, 2, 3)]
+        _, by_agent = infer_all(complete_network(3), counts, 1, FLAT3, bad, eng240)
+        errors = [by_agent[a] for a in (1, 2, 3)]
         assert errors[0] is errors[1] is errors[2]
         assert isinstance(errors[0], InfeasibleConstraintError)
         assert str(errors[0]) == str(direct.value)
@@ -270,16 +292,16 @@ class TestInferAll:
         assert record["divergence_agents"] == [] and record["divergences"] == []
 
 
-def assert_divergences_match_oracle(table):
+def assert_divergences_match_oracle(entries):
     """Every off-diagonal divergence equals the from-scratch oracle to 1e-12
     relative; an entry at roundoff (beliefs that coincide) is held to 1e-14
     of the oracle's error scale instead."""
-    agents = sorted(table.entries)
+    agents = sorted(entries)
     for a in agents:
         for b in agents:
             if a != b:
-                ref, scale = divergence_reference(table.entries[a], table.entries[b])
-                assert belief_divergence(table, a, b) == pytest.approx(
+                ref, scale = divergence_reference(entries[a], entries[b])
+                assert belief_divergence(entries, a, b) == pytest.approx(
                     ref, rel=1e-12, abs=1e-14 * scale)
 
 
@@ -290,58 +312,59 @@ class TestBeliefDivergence:
         # which n fixes, so the beliefs coincide and the entries are roundoff.
         prior = PriorSpec.of([1.0, 2.0, 0.5, 1.0])
         constraint = ConstraintSpec.of([1.0, 0.0, 0.5, -2.0], 0.0)
-        table = infer_all(triangle_lattice_network(2, 2), CountVector.of([5, 3, 2, 2]), round,
-                          prior, constraint, GridEngine(4, 12))
-        assert sorted(table.entries) == [1, 2, 3, 4]
-        assert_divergences_match_oracle(table)
+        entries, _ = infer_all(triangle_lattice_network(2, 2), CountVector.of([5, 3, 2, 2]),
+                               round, prior, constraint, GridEngine(4, 12))
+        assert sorted(entries) == [1, 2, 3, 4]
+        assert_divergences_match_oracle(entries)
 
     def test_complete_round0_matches_oracle(self):
-        table = infer_all(complete_network(3), CountVector.of([7, 2, 1]), 0, FLAT3, BIAS,
-                          GridEngine(3, 60))
-        assert min(belief_divergence(table, 1, b) for b in (2, 3)) > 1.0
-        assert_divergences_match_oracle(table)
+        entries, _ = infer_all(complete_network(3), CountVector.of([7, 2, 1]), 0, FLAT3, BIAS,
+                               GridEngine(3, 60))
+        assert min(belief_divergence(entries, 1, b) for b in (2, 3)) > 1.0
+        assert_divergences_match_oracle(entries)
 
     def test_different_constraints_match_oracle(self, monkeypatch):
         # One view, two constraint f: each density needs its own f, so taking
         # f from the other belief's family would be wrong here.
         engine, view = GridEngine(3, 60), AgentView.from_mapping(3, 10, {1: 7})
-        table = BeliefTable({1: fit_view(FLAT3, view, BIAS, engine),
-                             2: fit_view(FLAT3, view, ConstraintSpec.of([0.0, 1.0, -1.0], 0.25),
-                                         engine)}, {})
-        assert_divergences_match_oracle(table)
-        assert belief_divergence(table, 1, 2) > 1.0
+        entries = {1: fit_view(FLAT3, view, BIAS, engine),
+                   2: fit_view(FLAT3, view, ConstraintSpec.of([0.0, 1.0, -1.0], 0.25), engine)}
+        assert_divergences_match_oracle(entries)
+        assert belief_divergence(entries, 1, 2) > 1.0
         calls = []
         f_values = ConstraintSpec.f_values
         monkeypatch.setattr(ConstraintSpec, "f_values",
                             lambda spec, nodes: calls.append(spec) or f_values(spec, nodes))
-        belief_divergence(table, 1, 2)
+        belief_divergence(entries, 1, 2)
         assert len(calls) == 2  # q's f on p's nodes, once per side
 
     def test_shared_constraint_takes_f_from_family(self, eng240, monkeypatch):
-        table = infer_all(complete_network(3), CountVector.of([7, 2, 1]), 0, FLAT3, BIAS, eng240)
-        expected = belief_divergence(table, 1, 3)
+        entries, _ = infer_all(complete_network(3), CountVector.of([7, 2, 1]), 0, FLAT3, BIAS,
+                               eng240)
+        expected = belief_divergence(entries, 1, 3)
 
         def refuse(spec, nodes):
             raise AssertionError("f recomputed for a shared constraint")
 
         monkeypatch.setattr(ConstraintSpec, "f_values", refuse)
-        assert belief_divergence(table, 1, 3) == expected
+        assert belief_divergence(entries, 1, 3) == expected
 
     def test_identical_views_zero(self, eng240):
         net = complete_network(3)
-        table = infer_all(net, CountVector.of([5, 3, 2]), 1, FLAT3, BIAS, eng240)
-        assert belief_divergence(table, 1, 2) <= 1e-10
+        entries, _ = infer_all(net, CountVector.of([5, 3, 2]), 1, FLAT3, BIAS, eng240)
+        assert belief_divergence(entries, 1, 2) <= 1e-10
 
     def test_shared_model_exactly_zero(self, eng240):
-        table = infer_all(complete_network(3), CountVector.of([5, 3, 2]), 1, FLAT3, BIAS, eng240)
-        assert table.entries[1] is table.entries[3]
-        assert belief_divergence(table, 1, 3) == 0.0
+        entries, _ = infer_all(complete_network(3), CountVector.of([5, 3, 2]), 1, FLAT3, BIAS,
+                               eng240)
+        assert entries[1] is entries[3]
+        assert belief_divergence(entries, 1, 3) == 0.0
 
     def test_nonnegative_and_symmetric(self, eng240):
         net = complete_network(3)
-        table = infer_all(net, CountVector.of([7, 2, 1]), 0, FLAT3, BIAS, eng240)
+        entries, _ = infer_all(net, CountVector.of([7, 2, 1]), 0, FLAT3, BIAS, eng240)
         for a, b in [(1, 2), (1, 3), (2, 3)]:
-            d1, d2 = belief_divergence(table, a, b), belief_divergence(table, b, a)
+            d1, d2 = belief_divergence(entries, a, b), belief_divergence(entries, b, a)
             assert d1 >= 0.0
             assert d1 == d2  # the two one-sided terms, added in either order
 
@@ -365,6 +388,6 @@ class TestBeliefDivergence:
 
     def test_missing_agent(self, eng240):
         net = complete_network(3)
-        table = infer_all(net, CountVector.of([5, 3, 2]), 1, FLAT3, BIAS, eng240)
+        entries, _ = infer_all(net, CountVector.of([5, 3, 2]), 1, FLAT3, BIAS, eng240)
         with pytest.raises(KeyError):
-            belief_divergence(table, 1, 9)
+            belief_divergence(entries, 1, 9)
