@@ -154,7 +154,7 @@ def _agent_payload(belief: Belief, s_me: float) -> dict:
         "normalization": belief.normalization,
         "means": list(belief.means),
         "variances": list(belief.variances),
-        "marginal_abscissa": MARGINAL_ABSCISSA,  # one shared tuple: formatted once
+        "marginal_abscissa": MARGINAL_ABSCISSA,
         "marginals": [list(row) for row in belief.marginals],
     }
 

@@ -1,21 +1,23 @@
 """Experiment configuration and result files.
 
-Everything on disk is JSON written by a small canonical emitter: keys keep
-their insertion order, numeric fields are printed with 17 significant
-digits (which round-trips IEEE doubles exactly), and files end with a
-newline.  Given the same inputs and seeds, output files are therefore
-byte-identical across runs and platforms with the same floating-point
-environment.  Grid results do not depend on the BLAS thread count (their
-sums take a fixed order); Monte-Carlo results may, in their last digits.
+Every JSON file written here is one line from the standard library's
+encoder: keys keep their insertion order, each float is printed as
+Python's shortest round-trip repr (it parses back to the same double), a
+NaN or an infinity is refused, and the file ends with a newline.  Given
+the same inputs and seeds, outputs are therefore byte-identical across
+runs and platforms with the same floating-point environment.  The fit's
+weighted sums take a fixed order, but the summary's means and variances
+are BLAS products: on large grids (k=3 at r=600) and for Monte-Carlo
+draws they may move in their last digits with the BLAS thread count, so
+pin it when comparing those.
 
 Counts files have the fixed schema {k, n, counts: [...], seed,
 theta_true (optional)}.  Sweep tables are comma-separated with a header
-row.  The constraint can also be given as command-line shorthand,
-"f=1,0,-2;F=0".
+row and the same float text.  The constraint can also be given as
+command-line shorthand, "f=1,0,-2;F=0".
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from collections.abc import Mapping, Sequence
@@ -39,15 +41,6 @@ def check_count(value: int, name: str) -> int:
     return value
 
 
-def _format_float(x: float) -> str:
-    s = format(x, ".17g")
-    if "." in s or "e" in s:
-        return s
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    return s + ".0"
-
-
 def as_field(value: Any, name: str, kind: Any = int):
     """`value` as `kind`: int, float, or [kind] for a JSON list of them.  None (a
     missing field), a bool, a value of another shape or that `kind` refuses, and
@@ -66,74 +59,30 @@ def as_field(value: Any, name: str, kind: Any = int):
     return out
 
 
-_quoted = functools.lru_cache(maxsize=1024)(json.dumps)  # object keys, quoted once
-# Formatter of each exact scalar type; numpy scalars and other subclasses take
-# `dumps_canonical`'s isinstance fallback.
-_SCALARS = {float: _format_float, int: int.__repr__, str: json.dumps,
-            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
-
-
-def _float_row(row: Sequence[float]) -> str:
-    """'[x, y, ...]' for a non-empty row of exact floats, each as `_format_float`
-    prints it: one format call for the row, then ".0" on the integral entries.
-    Zeros, the usual ones, print as "0" or "-0" and are mended by two replaces."""
-    if not all(map(math.isfinite, row)):
-        return "[" + ", ".join(map(_format_float, row)) + "]"  # raises on the first
-    text = " " + ("%.17g, " * len(row) % tuple(row))[:-1]  # " x, y, ..., z,"
-    integral = sum(map(float.is_integer, row))
-    if integral:
-        text = text.replace(" 0,", " 0.0,").replace(" -0,", " -0.0,")
-        if integral > row.count(0.0):
-            return "[" + ", ".join([v if "." in v or "e" in v else v + ".0"
-                                    for v in text[1:-1].split(", ")]) + "]"
-    return "[" + text[1:-1] + "]"
-
-
-def dumps_canonical(obj: Any, indent: int = 0, memo: dict | None = None) -> str:
-    """Deterministic JSON emitter; floats at 17 significant digits.  Scalars are
-    formatted by their exact type, inline in their list or object.  A list or
-    object held in several places of `obj` is formatted once per indent:
-    `memo` maps (id, indent) to its text for the length of one call."""
-    scalar = _SCALARS.get(type(obj))
-    if scalar is not None:
-        return scalar(obj)
-    memo = {} if memo is None else memo
-    key = (id(obj), indent)
-    if key in memo:
-        return memo[key]
-
-    def nested(v: Any) -> str:
-        fmt = _SCALARS.get(type(v))
-        return fmt(v) if fmt else dumps_canonical(v, indent + 1, memo)
-
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        types = set(map(type, obj))
-        if types == {float}:
-            return memo.setdefault(key, _float_row(obj))
-        if all(issubclass(t, (int, float)) and t is not bool for t in types):
-            return "[" + ", ".join([nested(v) for v in obj]) + "]"
-        items = ",\n".join([inner + nested(v) for v in obj])
-        return memo.setdefault(key, "[\n" + items + "\n" + pad + "]")
-    if isinstance(obj, Mapping):
-        if not obj:
-            return "{}"
-        items = ",\n".join([f"{inner}{_quoted(str(k))}: {nested(v)}" for k, v in obj.items()])
-        return memo.setdefault(key, "{\n" + items + "\n" + pad + "}")
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _dumps(obj: Any, memo: dict[int, str]) -> str:
+    """The text of `json.dumps(obj, allow_nan=False)`, keys being strings.  A dict, and a
+    list holding one, is joined from its members' texts, so a member held in several places
+    is encoded once: agents that share one fit share its body, whose floats dominate the
+    cost.  `memo` maps id to text; the caller holds every object until it returns."""
+    if id(obj) not in memo:
+        if isinstance(obj, Mapping):
+            items = [f"{json.dumps(k)}: {_dumps(v, memo)}" for k, v in obj.items()]
+            memo[id(obj)] = "{" + ", ".join(items) + "}"
+        elif isinstance(obj, list) and any(isinstance(v, Mapping) for v in obj):
+            memo[id(obj)] = "[" + ", ".join([_dumps(v, memo) for v in obj]) + "]"
+        else:
+            memo[id(obj)] = json.dumps(obj, allow_nan=False)
+    return memo[id(obj)]
 
 
 def write_payload(path: str | Path, payload: Mapping[str, Any]) -> None:
-    Path(path).write_text(dumps_canonical(payload) + "\n", encoding="utf-8", newline="\n")
+    """Write `payload` as one line of strict JSON, the text of `json.dumps`; refuse a NaN or
+    infinity, naming `path`."""
+    try:
+        text = _dumps(payload, {})
+    except ValueError as exc:
+        raise ValueError(f"{path}: cannot write a non-finite value ({exc})") from None
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 def read_payload(path: str | Path) -> dict:
@@ -357,6 +306,10 @@ def read_counts(path: str | Path) -> CountVector:
 
 
 def write_sweep_csv(path: str | Path, rows: Sequence[Mapping[str, float]]) -> None:
+    """Write `rows` under a header, floats as `float.__repr__`; refuse a non-finite value."""
     cols = ("beta", "log_zeta", "expected_f", "s_me")
-    lines = [",".join(cols)] + [",".join(_format_float(row[c]) for c in cols) for row in rows]
+    table = [[row[c] for c in cols] for row in rows]
+    if not all(math.isfinite(v) for values in table for v in values):
+        raise ValueError(f"{path}: cannot write a non-finite value")
+    lines = [",".join(cols)] + [",".join(map(float.__repr__, values)) for values in table]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -6,7 +6,6 @@ tests compare two separately derived answers.
 """
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -316,45 +315,3 @@ def solve_beta_nodes(a: np.ndarray, f: np.ndarray, F: float, tol: float = 1e-9,
         e, var, log_zeta = evaluate(beta)
         iters += 1
     return beta, log_zeta, iters
-
-
-def _format_float_reference(x: float) -> str:
-    s = format(x, ".17g")
-    if "." in s or "e" in s:
-        return s
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    return s + ".0"
-
-
-def dumps_canonical_reference(obj, indent: int = 0) -> str:
-    """The canonical JSON emitter, one value at a time, as the package wrote it
-    before its float lists took one format call: the text it must keep."""
-    pad, inner = "  " * indent, "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float_reference(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {dumps_canonical_reference(v, indent + 1)}"
-            for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(type(v) is float for v in obj):
-            return "[" + ", ".join(map(_format_float_reference, obj)) + "]"
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-            return "[" + ", ".join(dumps_canonical_reference(v) for v in obj) + "]"
-        items = ",\n".join(f"{inner}{dumps_canonical_reference(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -1,5 +1,6 @@
 """Command-line interface and file-format tests."""
 import copy
+import gc
 import json
 import math
 import os
@@ -27,15 +28,15 @@ from maxent_agents import simplex as simplex_module
 from maxent_agents.cli import main
 from maxent_agents.engine import _TiltedFamily
 from maxent_agents.fileio import (
-    dumps_canonical,
     load_config,
     parse_constraint_shorthand,
     read_counts,
+    read_payload,
     write_payload,
+    write_sweep_csv,
 )
+from maxent_agents.network import belief_divergence, infer_all
 from maxent_agents.simplex import NODE_BUDGET
-
-from oracles import dumps_canonical_reference
 
 
 CONFIG = {
@@ -98,70 +99,125 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def same_values(written, loaded):
+    """`loaded` holds every value of `written` exactly: floats bit for bit
+    (the sign of a zero too), ints, bools and None by type, keys in order."""
+    if isinstance(written, float):
+        assert type(loaded) is float and loaded == written
+        assert math.copysign(1.0, loaded) == math.copysign(1.0, written)
+    elif isinstance(written, (list, tuple)):
+        assert type(loaded) is list and len(loaded) == len(written)
+        for w, v in zip(written, loaded):
+            same_values(w, v)
+    elif isinstance(written, dict):
+        assert list(loaded) == list(written)
+        for key in written:
+            same_values(written[key], loaded[key])
+    else:
+        assert type(loaded) is type(written) and loaded == written
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
 class TestSerialization:
-    def test_float_17_digits(self):
-        assert dumps_canonical(1 / 3) == "0.33333333333333331"
-        assert dumps_canonical(0.0) == "0.0"
-        assert dumps_canonical(-2.0) == "-2.0"
-        assert dumps_canonical(1.5e-300) == "1.5000000000000001e-300"
-
-    def test_floats_round_trip(self):
+    def test_floats_round_trip(self, tmp_path):
+        path = tmp_path / "x.json"
         for x in [math.pi, 1 / 3, -0.1, 2e-308, 12345.6789]:
-            assert json.loads(dumps_canonical(x)) == x
+            write_payload(path, {"x": x})
+            assert read_payload(path)["x"] == x
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            dumps_canonical(float("nan"))
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("inf")])
-    def test_rejects_non_finite_in_lists(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            dumps_canonical({"x": [1.0, bad]})
-        for floats in ([0.5, bad], [bad, 0.25], [0.1] * 20 + [bad]):  # no integral value
-            with pytest.raises(ValueError, match="non-finite"):
-                dumps_canonical({"x": [float(v) for v in floats]})
-
-    def test_matches_reference_emitter(self):
-        # Integral, signed-zero, subnormal and huge values force the per-value
-        # path inside a list; lists without them take one format call.
-        special = [0.0, -0.0, 3.0, 1e16, 1e17, 5e-324, 1e300]
-        rng = np.random.default_rng(5)
-        plain = [float(v) for v in rng.normal(size=50)]
-        shared = tuple(float(v) for v in rng.uniform(size=100))
+    def test_round_trip_keeps_every_value(self, tmp_path):
+        shared = tuple(float(v) for v in np.random.default_rng(5).uniform(size=100))
         payload = {
-            "plain": plain,
-            "shared": shared,
-            "tiny": [5e-324, 2.5e-310, -1e-300, 1.5e-7, 123456.789],
-            "special": special,
-            "each": [[x] for x in special],
-            "first": [[x, 0.1, 0.2] for x in special],
-            "last": [plain[:3] + [x] for x in special],
-            "agents": [{"agent": i, "a": shared, "b": [0.5, x], "c": x}
-                       for i, x in enumerate(special)],
-            "rows": [list(shared), list(shared)],
-        }
-        assert dumps_canonical(payload) == dumps_canonical_reference(payload)
-
-    def test_frozen_payload(self):
-        payload = {
-            "floats": [-0.0, 1.0, 1e300, 5e-324, 1.2345678901234568e17],
-            "mixed": [3, np.float64(0.1), -7],
+            "floats": [-0.0, 1.0, 1e300, 5e-324, 1.2345678901234568e17, 1 / 3, 1.5e-300],
+            "numpy": [np.float64(0.1), np.float64(-0.0), np.float64(5e-324)],
+            "mixed": [3, np.float64(0.1), -7, 2.5, True, None],
             "flags": [True, False, None],
             "nested": [[0.5, 2], [np.float64(-0.0)], []],
+            "agents": [{"agent": i, "a": shared, "c": x} for i, x in enumerate([0.0, -0.0, 3.0])],
             "count": 42,
             "scale": np.float64(1e-5),
+            "order": {"z": 1, "a": "text", "y": {"b": [], "a": None}},
         }
-        assert dumps_canonical(payload) == (
-            '{\n'
-            '  "floats": [-0.0, 1.0, 1.0000000000000001e+300, 4.9406564584124654e-324, '
-            '1.2345678901234568e+17],\n'
-            '  "mixed": [3, 0.10000000000000001, -7],\n'
-            '  "flags": [\n    true,\n    false,\n    null\n  ],\n'
-            '  "nested": [\n    [0.5, 2],\n    [-0.0],\n    []\n  ],\n'
-            '  "count": 42,\n'
-            '  "scale": 1.0000000000000001e-05\n'
-            '}'
-        )
+        path = tmp_path / "x.json"
+        write_payload(path, payload)
+        same_values(payload, read_payload(path))
+        # Shared members are encoded once, and the text is still the stdlib encoder's.
+        assert path.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
+
+    def test_write_leaves_no_reference_cycle(self, tmp_path):
+        # The writer's memo is freed by reference counting: a garbage cycle left by
+        # every record makes the cyclic collector run, and requests stall, more often.
+        shared = [0.5] * 10
+        payload = {"agents": [{"agent": i, "a": shared} for i in range(3)]}
+        gc.collect()
+        gc.disable()
+        try:
+            write_payload(tmp_path / "x.json", payload)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_rejects_nan(self, tmp_path):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError, match="non-finite") as raised:
+            write_payload(path, {"x": float("nan")})
+        assert str(path) in str(raised.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("inf")])
+    def test_rejects_non_finite_in_lists(self, tmp_path, bad):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_payload(path, {"x": [1.0, bad]})
+        for floats in ([0.5, bad], [bad, 0.25], [0.1] * 20 + [bad]):
+            with pytest.raises(ValueError, match="non-finite"):
+                write_payload(path, {"x": [float(v) for v in floats]})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("overrides, counts", [
+        pytest.param({"round": 0}, [5, 3, 2], id="complete-k3-round0"),
+        # At round 1 the three agents share one fit, so the record repeats its body.
+        pytest.param({"round": 1}, [5, 3, 2], id="complete-k3-round1"),
+        pytest.param({"k": 4, "n": 12, "prior": [1.0] * 4, "theta_true": None,
+                      "constraint": {"f": [1.0, 0.0, 0.0, -2.0], "F": 0.0},
+                      "network": {"preset": "triangle-lattice", "rows": 2, "cols": 2},
+                      "engine": {"grid": 30}}, [5, 3, 2, 2], id="lattice-2x2"),
+    ])
+    def test_network_record_is_exact(self, tmp_path, overrides, counts):
+        # The record holds every fitted number bit for bit, on one line.
+        config_path = write_config(tmp_path / "c.json", **overrides)
+        counts_path, out = tmp_path / "n.json", tmp_path / "o.json"
+        write_payload(counts_path, {"k": len(counts), "n": sum(counts), "counts": counts,
+                                    "seed": 7})
+        assert main(["network", "--config", str(config_path), "--counts", str(counts_path),
+                     "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        record = json.loads(text)
+        assert text == json.dumps(record) + "\n"
+
+        config = load_config(config_path)
+        entries, errors = infer_all(config.build_network(), read_counts(counts_path),
+                                    config.round, PriorSpec.of(config.prior), config.constraint,
+                                    config.engine.build(config.k))
+        assert not errors and len(record["agents"]) == len(entries)
+        for agent in record["agents"]:
+            belief = entries[agent["agent"]]
+            assert bits([agent["beta"], agent["log_zeta"]]) == bits(
+                [belief.solved.beta, belief.solved.log_zeta])
+            assert bits(agent["means"]) == bits(belief.means)
+            assert bits(agent["variances"]) == bits(belief.variances)
+            assert bits(agent["marginals"]) == bits(belief.marginals)
+        ok = sorted(entries)
+        assert record["divergence_agents"] == ok
+        assert bits(record["divergences"]) == bits(
+            [[belief_divergence(entries, a, b) if a != b else 0.0 for b in ok] for a in ok])
+        # Agents that share one fit diverge by zero; distinct fits do not.
+        distinct_fits = len({id(belief) for belief in entries.values()}) > 1
+        assert any(v > 0.0 for row in record["divergences"] for v in row) == distinct_fits
 
     def test_config_round_trip(self, tmp_path):
         config = ExperimentConfig(
@@ -191,9 +247,9 @@ class TestSerialization:
         EngineSettings(), EngineSettings(mc_seed=5), EngineSettings(grid=30, mc_seed=5),
         EngineSettings(mc_samples=1000), EngineSettings(mc_samples=1000, mc_seed=5),
     ])
-    def test_engine_settings_round_trip(self, settings):
-        text = dumps_canonical(settings.to_payload())
-        assert EngineSettings.from_payload(json.loads(text)) == settings
+    def test_engine_settings_round_trip(self, tmp_path, settings):
+        write_payload(tmp_path / "e.json", settings.to_payload())
+        assert EngineSettings.from_payload(read_payload(tmp_path / "e.json")) == settings
 
     def test_constraint_shorthand(self):
         spec = parse_constraint_shorthand("f=1,0,-2;F=0")
@@ -204,7 +260,7 @@ class TestSerialization:
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
-    def test_config_round_trip_property(self, data):
+    def test_config_round_trip_property(self, tmp_path_factory, data):
         finite = st.floats(-1e6, 1e6, allow_nan=False)
         k = data.draw(st.integers(2, 6))
         config = ExperimentConfig(
@@ -218,8 +274,9 @@ class TestSerialization:
             round=data.draw(st.integers(0, 5)),
             engine=EngineSettings(grid=data.draw(st.integers(1, 500))),
         )
-        text = dumps_canonical(config.to_payload())
-        assert ExperimentConfig.from_payload(json.loads(text)) == config
+        path = tmp_path_factory.mktemp("config") / "config.json"
+        write_payload(path, config.to_payload())
+        assert ExperimentConfig.from_payload(read_payload(path)) == config
 
 
 class TestCommandLine:
@@ -901,6 +958,24 @@ class TestSweepBeta:
                      f"--beta-step={step}"]) == 0
         betas = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
         assert betas == [float(low) + i * float(step) for i in range(rows)]
+
+    def test_csv_values_are_shortest_repr(self, tmp_path):
+        # Under numpy >= 2, repr(np.float64(0.1)) is "np.float64(0.1)".
+        row = {"beta": np.float64(0.1), "log_zeta": np.float64(-1 / 3),
+               "expected_f": np.float64(-0.0), "s_me": np.float64(5e-324)}
+        out = tmp_path / "s.csv"
+        write_sweep_csv(out, [row])
+        header, line = out.read_text(encoding="utf-8").splitlines()
+        assert header == "beta,log_zeta,expected_f,s_me"
+        assert line == "0.1,-0.3333333333333333,-0.0,5e-324"
+        assert bits([float(v) for v in line.split(",")]) == bits(list(row.values()))
+
+    def test_csv_refuses_non_finite(self, tmp_path):
+        out = tmp_path / "s.csv"
+        row = {"beta": 0.5, "log_zeta": float("inf"), "expected_f": 0.0, "s_me": 0.0}
+        with pytest.raises(ValueError, match="non-finite"):
+            write_sweep_csv(out, [{**row, "log_zeta": -1.0}, row])
+        assert not out.exists()
 
     def test_bad_range(self, tmp_path):
         config = write_config(tmp_path / "c.json", n=0)
