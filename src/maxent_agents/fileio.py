@@ -9,7 +9,10 @@ runs and platforms with the same floating-point environment.  The fit's
 weighted sums take a fixed order, but the summary's means and variances
 are BLAS products: on large grids (k=3 at r=600) and for Monte-Carlo
 draws they may move in their last digits with the BLAS thread count, so
-pin it when comparing those.
+pin it when comparing those.  Outputs are rewritten in place and then cut
+to length, without O_TRUNC: on ext4 (auto_da_alloc) truncating a non-empty
+file to zero makes close start writeback.  A crash mid-write can thus leave
+a tail of the old bytes where it used to leave a short file.
 
 Counts files have the fixed schema {k, n, counts: [...], seed,
 theta_true (optional)}.  Sweep tables are comma-separated with a header
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +37,7 @@ from .simplex import NODE_BUDGET, ThetaPoint
 
 
 MAX_COUNT = 2**53  # the likelihood takes counts as float64s, exact up to here
+_ENCODER = json.JSONEncoder(allow_nan=False)  # json.dumps with a keyword builds one per call
 
 
 def check_count(value: int, name: str) -> int:
@@ -59,30 +65,44 @@ def as_field(value: Any, name: str, kind: Any = int):
     return out
 
 
-def _dumps(obj: Any, memo: dict[int, str]) -> str:
-    """The text of `json.dumps(obj, allow_nan=False)`, keys being strings.  A dict, and a
-    list holding one, is joined from its members' texts, so a member held in several places
-    is encoded once: agents that share one fit share its body, whose floats dominate the
-    cost.  `memo` maps id to text; the caller holds every object until it returns."""
-    if id(obj) not in memo:
-        if isinstance(obj, Mapping):
-            items = [f"{json.dumps(k)}: {_dumps(v, memo)}" for k, v in obj.items()]
-            memo[id(obj)] = "{" + ", ".join(items) + "}"
-        elif isinstance(obj, list) and any(isinstance(v, Mapping) for v in obj):
-            memo[id(obj)] = "[" + ", ".join([_dumps(v, memo) for v in obj]) + "]"
+def _dumps(payload: Mapping[str, Any]) -> str:
+    """The text of `json.dumps(payload, allow_nan=False)`, keys being strings.  In a list of
+    non-empty dicts, an element whose members after its first are the very objects of an earlier
+    one's reuses their text: agents that share one fit encode its body, and its floats, once."""
+    members = []
+    for key, value in payload.items():
+        if isinstance(value, list) and all(isinstance(v, Mapping) and v for v in value):
+            tails, texts = {}, []  # (key, id) of the members after an element's first -> text
+            for element in value:
+                (first, first_value), *rest = element.items()
+                shape = tuple((k, id(v)) for k, v in rest)
+                if shape not in tails:
+                    tails[shape] = ", " + _ENCODER.encode(dict(rest))[1:-1] if rest else ""
+                texts.append("{" + _ENCODER.encode({first: first_value})[1:-1] + tails[shape] + "}")
+            text = "[" + ", ".join(texts) + "]"
         else:
-            memo[id(obj)] = json.dumps(obj, allow_nan=False)
-    return memo[id(obj)]
+            text = _ENCODER.encode(value)
+        members.append(f"{_ENCODER.encode(key)}: {text}")
+    return "{" + ", ".join(members) + "}"
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write `text` as UTF-8 over `path` in place, then cut a regular file at its new length."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666),
+              "wb") as out:
+        size = out.write(text.encode("utf-8"))  # a buffered write retries short writes
+        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):  # a device or FIFO cannot be cut
+            out.truncate(size)
 
 
 def write_payload(path: str | Path, payload: Mapping[str, Any]) -> None:
     """Write `payload` as one line of strict JSON, the text of `json.dumps`; refuse a NaN or
     infinity, naming `path`."""
     try:
-        text = _dumps(payload, {})
+        text = _dumps(payload)
     except ValueError as exc:
         raise ValueError(f"{path}: cannot write a non-finite value ({exc})") from None
-    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, text + "\n")
 
 
 def read_payload(path: str | Path) -> dict:
@@ -312,4 +332,4 @@ def write_sweep_csv(path: str | Path, rows: Sequence[Mapping[str, float]]) -> No
     if not all(math.isfinite(v) for values in table for v in values):
         raise ValueError(f"{path}: cannot write a non-finite value")
     lines = [",".join(cols)] + [",".join(map(float.__repr__, values)) for values in table]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")

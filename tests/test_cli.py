@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,10 @@ CONFIG = {
 
 
 COUNTS = {"k": 3, "n": 10, "counts": [5, 3, 2], "seed": 7}
+
+# An agent body as `network` shares it between agents that share one fit.
+BODY = {"view": {"k": 3, "n": 10, "visible": [[1, 5]]}, "beta": 0.5, "s_me": -0.0,
+        "means": [0.25, 1 / 3, 1e300], "marginals": [[0.5, 5e-324], []]}
 
 # (name in the error, config overrides, path to an integral field in the
 # {"config": ..., "counts": ...} inputs)
@@ -159,6 +164,80 @@ class TestSerialization:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([{"agent": i, **BODY} for i in (1, 2, 3)], id="shared-after-first"),
+        pytest.param([{"agent": 1, **BODY}, {"agent": 2, **BODY, "beta": 0.25},
+                      {"agent": 3, **BODY}], id="all-but-one-shared"),
+        pytest.param([{"agent": 1, "beta": BODY["beta"]}, {"agent": 2, "s_me": BODY["beta"]}],
+                     id="same-value-other-key"),
+        pytest.param([{"agent": 1}, {"agent": 2}, {"agent": 3, **BODY}], id="one-member"),
+        pytest.param([], id="empty-list"),
+        pytest.param([{"agent": 1, **BODY}, {"agent": 2, "error": "agent 2: infeasible"},
+                      {"agent": 3, **BODY}], id="error-between-shared"),
+        pytest.param([{"agent": 1, **BODY}, 3, None, [BODY], {"agent": 2, **BODY}], id="mixed"),
+        pytest.param([{"agent": 1, **BODY}, {}, {"agent": 2, **BODY}], id="empty-dict"),
+    ])
+    def test_shared_members_keep_the_encoder_text(self, tmp_path, rows):
+        payload = {"counts": [5, 3, 2], "agents": rows, "meta": {"agents": rows}}
+        path = tmp_path / "x.json"
+        write_payload(path, payload)
+        assert path.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
+
+    def test_shared_body_is_encoded_once(self, monkeypatch, tmp_path):
+        encoded = []
+
+        class Recording(json.JSONEncoder):
+            def encode(self, o):
+                encoded.append(o)
+                return super().encode(o)
+
+        monkeypatch.setattr(fileio_module, "_ENCODER", Recording(allow_nan=False))
+        write_payload(tmp_path / "x.json", {"agents": [{"agent": i, **BODY} for i in (1, 2, 3)]})
+        assert sum(isinstance(o, dict) and "means" in o for o in encoded) == 1
+
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        # Outputs are rewritten in place and then cut at their new length.
+        path = tmp_path / "x.json"
+        short, long = {"x": 1}, {"x": list(range(1000))}
+        for first, second in ((long, short), (short, long)):
+            write_payload(path, first)
+            write_payload(path, second)
+            assert path.read_bytes() == (json.dumps(second) + "\n").encode()
+        path.write_bytes(b"\0" * 100_000)
+        write_sweep_csv(path, [{"beta": 0.5, "log_zeta": 1.0, "expected_f": -0.0, "s_me": 2.0}])
+        assert path.read_bytes() == b"beta,log_zeta,expected_f,s_me\n0.5,1.0,-0.0,2.0\n"
+
+    def test_refusal_leaves_an_existing_file_alone(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_bytes(b"old bytes\n")
+        os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+        with pytest.raises(ValueError, match="non-finite"):
+            write_payload(path, {"x": [1.0, float("nan")]})
+        with pytest.raises(ValueError, match="non-finite"):
+            write_sweep_csv(path, [{"beta": 0.5, "log_zeta": math.inf, "expected_f": 0.0,
+                                    "s_me": 0.0}])
+        assert path.read_bytes() == b"old bytes\n"
+        assert path.stat().st_mtime_ns == 1_000_000_000
+
+    def test_new_file_mode_is_that_of_open(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        with open(tmp_path / "reference", "w"):
+            pass
+        write_payload(tmp_path / "x.json", {"x": 1})
+        write_sweep_csv(tmp_path / "x.csv", [])
+        modes = {stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ("reference", "x.json", "x.csv")}
+        assert modes == {0o666 & ~umask}
+
+    def test_network_writes_to_a_device(self, tmp_path):
+        # A character device takes the record but cannot be cut at its length.
+        config_path = write_config(tmp_path / "c.json")
+        counts_path = tmp_path / "n.json"
+        write_payload(counts_path, COUNTS)
+        assert main(["network", "--config", str(config_path), "--counts", str(counts_path),
+                     "--out", os.devnull]) == 0
 
     def test_rejects_nan(self, tmp_path):
         path = tmp_path / "x.json"
