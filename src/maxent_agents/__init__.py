@@ -9,7 +9,6 @@ from .engine import (
     ConstraintSpec,
     GridEngine,
     InfeasibleConstraintError,
-    McEngine,
     PriorSpec,
     SolvedConstraint,
     me_entropy,
@@ -36,7 +35,6 @@ __all__ = [
     "ExperimentConfig",
     "GridEngine",
     "InfeasibleConstraintError",
-    "McEngine",
     "NodeBudgetError",
     "PriorSpec",
     "SolvedConstraint",

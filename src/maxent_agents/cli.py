@@ -52,7 +52,6 @@ def _add_common(parser: argparse.ArgumentParser, overrides: bool = True) -> None
     if not overrides:
         return
     parser.add_argument("--grid", type=int, default=None, help="grid resolution override")
-    parser.add_argument("--mc-samples", type=int, default=None, help="MC sample override")
     parser.add_argument(
         "--constraint", default=None,
         help='moment constraint shorthand "f=1,0,-2;F=0" or "none" (overrides config)',
@@ -99,11 +98,9 @@ def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:
     updates: dict[str, Any] = {}
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
-    grid, samples, constraint = (getattr(args, key, None)
-                                 for key in ("grid", "mc_samples", "constraint"))
-    if grid is not None or samples is not None:
-        updates["engine"] = EngineSettings(grid=grid, mc_samples=samples,
-                                           mc_seed=config.engine.mc_seed)
+    grid, constraint = (getattr(args, key, None) for key in ("grid", "constraint"))
+    if grid is not None:
+        updates["engine"] = EngineSettings(grid)
     if constraint is not None:
         updates["constraint"] = parse_constraint_shorthand(constraint)
     if getattr(args, "round", None) is not None:

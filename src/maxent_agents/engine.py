@@ -19,11 +19,11 @@ tilt expectations are ratios of sums sharing one set of nodes.  All
 densities are handled in log space; the beta-independent part of the
 log-integrand is computed once per (prior, view, engine), reused across
 every beta the solver visits, and kept on the fitted SolvedConstraint.  Newton
-runs on f's levels, its distinct values (cached per grid and f; a Monte-Carlo
-draw's nodes are its levels), each fit folding its nodes onto them once; one
-node pass at the final beta follows.  A fit goes SolvedConstraint ->
-`posterior`'s node masses -> `posterior_summary`'s Belief, the one value that
-holds the solve, the masses and the summary.
+runs on f's levels, its distinct values (cached per grid and f), each fit
+folding its nodes onto them once; one node pass at the final beta follows.
+A fit goes SolvedConstraint -> `posterior`'s node masses ->
+`posterior_summary`'s Belief, the one value that holds the solve, the
+masses and the summary.
 
 With no data the result is the exponentially tilted prior (pure moment
 matching); with beta = 0 it is the conjugate Dirichlet update.  The
@@ -44,14 +44,12 @@ from typing import Sequence
 import numpy as np
 
 from .multinomial import AgentView, log_power, view_log_likelihood_nodes
-from .simplex import (GRID_CACHE_SIZE, MARGINAL_BINS, MARGINAL_EDGES, NODE_BUDGET,
-                      NodeBudgetError, NodeSet, build_grid, sample_dirichlet)
+from .simplex import GRID_CACHE_SIZE, MARGINAL_BINS, MARGINAL_EDGES, NodeSet, build_grid
 
 SOLVER_TOL = 1e-9
 MAX_ITER = 200
 BETA_CAP = 2.0**16
 DEFAULT_RESOLUTION = {2: 960, 3: 240, 4: 60}  # the default engine's grid, by k
-DEFAULT_MC_SAMPLES = 200_000
 BLOCK = 65_536  # np.histogram bins this many nodes per bincount
 MARGINAL_ABSCISSA = tuple(float(v) for v in 0.5 * (MARGINAL_EDGES[:-1] + MARGINAL_EDGES[1:]))
 
@@ -171,7 +169,7 @@ class SolvedConstraint:
 
 
 class GridEngine:
-    """Deterministic lattice-quadrature backend (k <= 4 recommended).
+    """Deterministic lattice-quadrature backend, the one engine.
 
     The grid is built (or fetched from the per-process cache) here, so an
     invalid or oversized resolution is refused before any fit.
@@ -191,51 +189,6 @@ class GridEngine:
 
     def __repr__(self) -> str:
         return f"GridEngine(k={self.k}, resolution={self.resolution})"
-
-
-class McEngine:
-    """Seeded Dirichlet importance-sampling backend for higher dimensions.
-
-    Samples are drawn from a Dirichlet proposal matched to the no-tilt
-    posterior (prior parameters plus visible counts, the unseen total spread
-    over hidden sides by prior weight); reference weights are 1/N over its
-    density relative to the flat one, `PriorSpec.log_rel_density`.
-    """
-
-    def __init__(self, k: int, samples: int, seed: int):
-        if samples < 2:
-            raise ValueError("samples must be >= 2")
-        if samples > NODE_BUDGET:
-            raise NodeBudgetError(f"{samples} Monte-Carlo samples exceed the budget {NODE_BUDGET}")
-        self.k = k
-        self.samples = samples
-        self.seed = seed
-
-    def proposal_params(self, prior: PriorSpec, view: AgentView) -> np.ndarray:
-        alpha = np.asarray(prior.dirichlet_params, dtype=float)
-        params = alpha.copy()
-        hidden = np.ones(self.k, dtype=bool)
-        for side, count in view.visible:
-            params[side - 1] += count
-            hidden[side - 1] = False
-        rest = view.n - view.visible_total
-        if rest > 0 and hidden.any():
-            params[hidden] += rest * alpha[hidden] / alpha[hidden].sum()
-        return params
-
-    def basis(self, prior: PriorSpec, view: AgentView) -> NodeSet:
-        params = self.proposal_params(prior, view)
-        theta = sample_dirichlet(params, self.samples, self.seed)
-        log_nodes = np.ascontiguousarray(np.log(theta).T)
-        logw = (np.full(self.samples, -np.log(self.samples))
-                - PriorSpec.of(params).log_rel_density(log_nodes))
-        return NodeSet(theta, log_nodes, logw)
-
-    def descriptor(self) -> dict:
-        return {"mc_samples": self.samples, "mc_seed": self.seed}
-
-    def __repr__(self) -> str:
-        return f"McEngine(k={self.k}, samples={self.samples}, seed={self.seed})"
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
@@ -276,17 +229,13 @@ class _TiltedFamily:
                 f"log-integrand is not finite at node {j} (theta={tuple(ns.nodes[j])}); "
                 "the view likelihood vanishes on the whole support"
             )
-        self.f, self.levels, self.level_index = (
-            grid_levels(ns, spec.f) if isinstance(engine, GridEngine)
-            else (f := spec.f_values(ns.nodes), f, None))
+        self.f, self.levels, self.level_index = grid_levels(ns, spec.f)
 
     @functools.cached_property
     def level_a(self) -> np.ndarray:
         """L_g = log sum_{f_j = v_g} e^{a_j}, exact on every level: one exp pass against
         max a, then the levels summing below 1e-290 again against their own peak."""
         idx, size = self.level_index, self.levels.size
-        if idx is None:
-            return self.a
         shift = np.full(size, self.a.max())
         mass = np.bincount(idx, np.exp(self.a - shift[0]), size)
         low = mass < 1e-290

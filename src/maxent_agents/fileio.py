@@ -7,12 +7,12 @@ NaN or an infinity is refused, and the file ends with a newline.  Given
 the same inputs and seeds, outputs are therefore byte-identical across
 runs and platforms with the same floating-point environment.  The fit's
 weighted sums take a fixed order, but the summary's means and variances
-are BLAS products: on large grids (k=3 at r=600) and for Monte-Carlo
-draws they may move in their last digits with the BLAS thread count, so
-pin it when comparing those.  Outputs are rewritten in place and then cut
-to length, without O_TRUNC: on ext4 (auto_da_alloc) truncating a non-empty
-file to zero makes close start writeback.  A crash mid-write can thus leave
-a tail of the old bytes where it used to leave a short file.
+are BLAS products: on large grids (k=3 at r=600) they may move in their
+last digits with the BLAS thread count, so pin it when comparing those.
+Outputs are rewritten in place and then cut to length, without O_TRUNC: on
+ext4 (auto_da_alloc) truncating a non-empty file to zero makes close start
+writeback.  A crash mid-write can thus leave a tail of the old bytes where
+it used to leave a short file.
 
 Counts files have the fixed schema {k, n, counts: [...], seed,
 theta_true (optional)}.  Sweep tables are comma-separated with a header
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .engine import DEFAULT_MC_SAMPLES, DEFAULT_RESOLUTION, ConstraintSpec, GridEngine, McEngine
+from .engine import DEFAULT_RESOLUTION, ConstraintSpec, GridEngine
 from .multinomial import CountVector
 from .network import AgentNetwork, complete_network, triangle_lattice_network
 from .simplex import NODE_BUDGET, ThetaPoint
@@ -134,51 +134,34 @@ def parse_constraint_shorthand(text: str) -> ConstraintSpec | None:
 
 @dataclass(frozen=True)
 class EngineSettings:
-    """Grid resolution or Monte-Carlo sample count/seed."""
+    """The grid resolution, if one is configured."""
 
     grid: int | None = None
-    mc_samples: int | None = None
-    mc_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.grid is not None and self.mc_samples is not None:
-            raise ValueError("choose either a grid resolution or mc_samples, not both")
         if self.grid is not None and self.grid < 1:
             raise ValueError("config engine.grid or --grid: the grid resolution r must be >= 1, "
                              f"got {self.grid}")
-        if self.mc_samples is not None and self.mc_samples < 2:
-            raise ValueError("config engine.mc_samples or --mc-samples: Monte-Carlo samples "
-                             f"must be >= 2, got {self.mc_samples}")
-        if self.mc_seed < 0:
-            raise ValueError(f"config engine.mc_seed must be >= 0, got {self.mc_seed}")
 
-    def build(self, k: int):
-        """The engine for dimension k: the configured grid or sample count,
-        else the grid of DEFAULT_RESOLUTION for k <= 4 and DEFAULT_MC_SAMPLES
-        draws above; Monte-Carlo engines always use `mc_seed`."""
+    def build(self, k: int) -> GridEngine:
+        """The engine for dimension k: the configured grid, else the grid of
+        DEFAULT_RESOLUTION for k <= 4; any other k needs a configured grid."""
         if self.grid is not None:
             return GridEngine(k, self.grid)
-        if self.mc_samples is None and k in DEFAULT_RESOLUTION:
-            return GridEngine(k, DEFAULT_RESOLUTION[k])
-        samples = DEFAULT_MC_SAMPLES if self.mc_samples is None else self.mc_samples
-        return McEngine(k, samples, self.mc_seed)
+        if k not in DEFAULT_RESOLUTION:
+            raise ValueError(f"no default engine for k={k}: set config engine.grid or --grid")
+        return GridEngine(k, DEFAULT_RESOLUTION[k])
 
     def to_payload(self) -> dict:
-        payload: dict[str, Any] = {}
-        if self.grid is not None:
-            payload["grid"] = self.grid
-        if self.mc_samples is not None:
-            payload["mc_samples"] = self.mc_samples
-        if self.mc_samples is not None or self.mc_seed:
-            payload["mc_seed"] = self.mc_seed
-        return payload
+        return {} if self.grid is None else {"grid": self.grid}
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "EngineSettings":
-        grid, samples, seed = (as_field(payload[key], f"config engine.{key}")
-                               if key in payload else None
-                               for key in ("grid", "mc_samples", "mc_seed"))
-        return cls(grid=grid, mc_samples=samples, mc_seed=seed or 0)
+        for key in payload:
+            if key != "grid":
+                raise ValueError(f"config engine.{key} is unknown: the engine section takes "
+                                 "only grid")
+        return cls(as_field(payload["grid"], "config engine.grid") if "grid" in payload else None)
 
 
 @dataclass(frozen=True)
@@ -199,7 +182,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.k > NODE_BUDGET:  # a grid has at least k nodes, a Monte-Carlo draw 2k coordinates
+        if self.k > NODE_BUDGET:  # a grid has at least k nodes
             raise ValueError(f"config k must be <= {NODE_BUDGET}, the node budget, got {self.k}")
         if self.prior is None:
             object.__setattr__(self, "prior", (1.0,) * self.k)

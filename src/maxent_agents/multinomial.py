@@ -13,8 +13,8 @@ which is what `view_log_likelihood_nodes` evaluates over an array of
 nodes.  Enumeration of hidden completions is never used outside test
 oracles.
 
-This likelihood, the Dirichlet prior and the Monte-Carlo proposal are power
-products prod_i theta_i^{e_i} with a `math.lgamma` constant; `log_power`
+This likelihood and the Dirichlet prior are power products
+prod_i theta_i^{e_i} with a `math.lgamma` constant; `log_power`
 evaluates the log of the product from the (k, N) log columns of a node set.
 A zero exponent contributes exactly 0 in log space, so its column is
 skipped (so 0 * log 0 never arises); a positive exponent on a zero

@@ -1,12 +1,12 @@
-"""Quadrature nodes and seeded Dirichlet draws on the probability simplex.
+"""Quadrature nodes and the seeded generator on the probability simplex.
 
 All expectations are taken with respect to the *normalized* uniform measure
 on the (k-1)-simplex, i.e. the flat Dirichlet(1,...,1) distribution.  With
 that convention the expectation of the constant 1 is exactly 1 and no
 simplex-volume bookkeeping is needed anywhere downstream.  An engine's
 basis is a `NodeSet`: nodes plus log-weights of that measure.  The grid rule
-below supplies the lattice engine's; `sample_dirichlet` supplies the draws
-of the Monte-Carlo engine and the die-roll simulator.
+below supplies the lattice engine's; `dirichlet_sampler` supplies the
+generator of the die-roll simulator.
 
 The grid rule places one node per composition (c_1,...,c_k) of the
 resolution r into k non-negative parts,
@@ -21,20 +21,18 @@ term that decays rapidly with the order to which the integrand vanishes on
 the simplex boundary.  Nodes never touch the boundary (integrands may
 contain log theta_i), the layout is exactly symmetric under coordinate
 permutations, and weight normalization is exact by construction.  A grid
-of more than NODE_BUDGET nodes is refused.  Every draw, for the Monte-Carlo
-engine and the simulator alike, comes from one fixed generator per seed.
+of more than NODE_BUDGET nodes is refused.
 
 Everything here is a pure function of its inputs.  A node set's arrays are
 read-only, so writing to one raises.  A grid is built once per (k, r) and
-kept (the last GRID_CACHE_SIZE per process); draws are fresh arrays on every
-call.
+kept (the last GRID_CACHE_SIZE per process).
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -46,7 +44,7 @@ MARGINAL_EDGES = np.linspace(0.0, 1.0, MARGINAL_BINS + 1)
 
 
 class NodeBudgetError(ValueError):
-    """A requested grid or Monte-Carlo sample would exceed NODE_BUDGET nodes."""
+    """A requested grid would exceed NODE_BUDGET nodes."""
 
 
 @dataclass(frozen=True)
@@ -151,8 +149,7 @@ def build_grid(k: int, r: int) -> NodeSet:
     Raises
     ------
     NodeBudgetError
-        if C(r+k-1, k-1) exceeds NODE_BUDGET, the fixed cap on grid nodes;
-        use the Monte-Carlo engine (`McEngine`) for such dimensions.
+        if C(r+k-1, k-1) exceeds NODE_BUDGET, the fixed cap on grid nodes.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -162,7 +159,7 @@ def build_grid(k: int, r: int) -> NodeSet:
     if n_nodes > NODE_BUDGET:
         raise NodeBudgetError(
             f"grid for k={k}, r={r} needs {n_nodes} nodes "
-            f"(budget {NODE_BUDGET}); use the Monte-Carlo backend instead"
+            f"(budget {NODE_BUDGET}); set a smaller config engine.grid or --grid"
         )
     counts = compositions(r, k)
     D, s = lattice_scale(k, r)
@@ -181,13 +178,3 @@ def dirichlet_sampler(seed: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,)))
     )
-
-
-def sample_dirichlet(params: Sequence[float], samples: int, seed: int) -> np.ndarray:
-    """Draw `samples` Dirichlet(params) vectors via normalized Gamma variates."""
-    alpha = np.asarray(params, dtype=float)
-    if np.any(alpha <= 0.0):
-        raise ValueError("dirichlet parameters must be > 0")
-    rng = dirichlet_sampler(seed)
-    gam = rng.standard_gamma(alpha, size=(samples, alpha.size))
-    return gam / gam.sum(axis=1, keepdims=True)

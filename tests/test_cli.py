@@ -23,7 +23,6 @@ from maxent_agents import (
     PriorSpec,
 )
 from maxent_agents import cli
-from maxent_agents import engine as engine_module
 from maxent_agents import fileio as fileio_module
 from maxent_agents import simplex as simplex_module
 from maxent_agents.cli import main
@@ -37,7 +36,7 @@ from maxent_agents.fileio import (
     write_sweep_csv,
 )
 from maxent_agents.network import belief_divergence, infer_all
-from maxent_agents.simplex import NODE_BUDGET
+from maxent_agents.simplex import NODE_BUDGET, NodeSet
 
 
 CONFIG = {
@@ -67,10 +66,6 @@ INT_FIELDS = [
     pytest.param("config seed", {}, ("config", "seed"), id="seed"),
     pytest.param("config round", {}, ("config", "round"), id="round"),
     pytest.param("config engine.grid", {}, ("config", "engine", "grid"), id="grid"),
-    pytest.param("config engine.mc_samples", {"engine": {"mc_samples": 1000}},
-                 ("config", "engine", "mc_samples"), id="mc_samples"),
-    pytest.param("config engine.mc_seed", {"engine": {"mc_samples": 1000, "mc_seed": 1}},
-                 ("config", "engine", "mc_seed"), id="mc_seed"),
     pytest.param("config network.k", {"network": {"preset": "complete", "k": 3}},
                  ("config", "network", "k"), id="network-k"),
     pytest.param("config network.rows",
@@ -312,20 +307,8 @@ class TestSerialization:
         write_payload(path, config.to_payload())
         assert load_config(path) == config
 
-    def test_config_round_trip_mc(self, tmp_path):
-        config = ExperimentConfig(
-            k=5, n=4, seed=1,
-            prior=(1.0,) * 5,
-            engine=EngineSettings(mc_samples=1000, mc_seed=3),
-        )
-        path = tmp_path / "config.json"
-        write_payload(path, config.to_payload())
-        assert load_config(path) == config
-
-    @pytest.mark.parametrize("settings", [
-        EngineSettings(), EngineSettings(mc_seed=5), EngineSettings(grid=30, mc_seed=5),
-        EngineSettings(mc_samples=1000), EngineSettings(mc_samples=1000, mc_seed=5),
-    ])
+    @pytest.mark.parametrize("settings", [EngineSettings(), EngineSettings(grid=1),
+                                          EngineSettings(grid=240)])
     def test_engine_settings_round_trip(self, tmp_path, settings):
         write_payload(tmp_path / "e.json", settings.to_payload())
         assert EngineSettings.from_payload(read_payload(tmp_path / "e.json")) == settings
@@ -486,21 +469,27 @@ class TestInfer:
                      "--constraint", "f=1,0,-2;F=0.999999999999"])
         assert code == 3
 
-    def test_positive_entropy_exit_code(self, tmp_path, capsys):
-        # The default Monte-Carlo engine's estimate of this tilted prior
-        # gives s_me = 0.34 > 0, a numerical failure (exit 3), not an
-        # input error; no output is written.
-        config = tmp_path / "c.json"
-        write_payload(config, {"k": 5, "n": 12, "seed": 7, "prior": [1.0] * 5,
-                               "constraint": {"f": [1, 0, 0, 0, -2], "F": 0.0},
-                               "engine": {"mc_seed": 2}})
+    def test_positive_entropy_exit_code(self, tmp_path, capsys, monkeypatch):
+        # An engine whose reference weights sum to 2, not 1, doubles zeta: with
+        # no data and no constraint s_me = log 2 > 0, a numerical failure
+        # (exit 3), not an input error; no output is written.
+        grid = GridEngine(3, 30).grid
+
+        class DoubledWeights:
+            k = 3
+
+            def basis(self, prior, view):
+                return NodeSet(grid.nodes, grid.log_nodes, grid.log_weights + math.log(2.0))
+
+        monkeypatch.setattr(EngineSettings, "build", lambda self, k: DoubledWeights())
+        config = write_config(tmp_path / "c.json", constraint=None)
         counts = tmp_path / "counts.json"
-        write_payload(counts, {"k": 5, "n": 12, "counts": [3, 2, 4, 1, 2], "seed": 7})
+        write_payload(counts, COUNTS)
         out = tmp_path / "x"
         code = main(["infer", "--config", str(config), "--counts", str(counts),
                      "--out", str(out), "--view", "none"])
         assert code == 3
-        assert "s_me = 0.3397" in capsys.readouterr().err
+        assert "error: s_me = 0.693147180559945" in capsys.readouterr().err  # log 2
         assert not out.exists()
 
     def test_malformed_config_exit_code(self, tmp_path):
@@ -553,20 +542,6 @@ class TestInfer:
         assert err.startswith("error: ") and "--view" in err
         assert "Traceback" not in err
 
-    def test_mc_seed_without_mc_samples(self, tmp_path):
-        # k = 5 defaults to the Monte-Carlo engine, which must use the seed.
-        config = tmp_path / "c.json"
-        write_payload(config, {"k": 5, "n": 4, "seed": 1, "prior": [1.0] * 5,
-                               "engine": {"mc_seed": 5}})
-        counts = tmp_path / "counts.json"
-        write_payload(counts, {"k": 5, "n": 4, "counts": [1, 0, 2, 1, 0], "seed": 1})
-        out = tmp_path / "result.json"
-        assert main(["infer", "--config", str(config), "--counts", str(counts),
-                     "--out", str(out)]) == 0
-        record = json.loads(out.read_text())
-        assert record["meta"]["engine"] == {"mc_samples": 200000, "mc_seed": 5}
-        assert record["config"]["engine"] == {"mc_seed": 5}
-
     @pytest.mark.parametrize("command", ["simulate", "network"])
     def test_grid_and_mc_samples_exit_code(self, tmp_path, capsys, command):
         config = write_config(tmp_path / "c.json")
@@ -578,10 +553,10 @@ class TestInfer:
             argv += ["--counts", str(counts)]
         assert main(argv) == 4
         err = capsys.readouterr().err
-        if command == "simulate":  # simulate builds no engine: the flags are not its own
-            assert "error: unrecognized arguments: --grid 30 --mc-samples 1000" in err
-        else:
-            assert err.startswith("error: ")
+        # simulate builds no engine, so --grid is not its own either; no
+        # command takes --mc-samples.
+        flags = "--grid 30 --mc-samples 1000" if command == "simulate" else "--mc-samples 1000"
+        assert err.endswith(f"error: unrecognized arguments: {flags}\n")
         assert not (tmp_path / "x").exists()
 
 
@@ -698,8 +673,8 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("command", ["infer", "network", "sweep-beta"])
     def test_seed_flag_only_on_simulate(self, tmp_path, capsys, command):
-        # config.seed drives only simulate's rolls (Monte-Carlo draws take
-        # engine.mc_seed), so elsewhere the flag only rewrote the echoed seed.
+        # config.seed drives only simulate's rolls, so elsewhere the flag
+        # only rewrote the echoed seed.
         argv = [command, "--config", str(write_config(tmp_path / "c.json")), "--seed", "3"]
         if command == "sweep-beta":
             argv += ["--beta-min", "0", "--beta-max", "1", "--beta-step", "0.5"]
@@ -707,41 +682,39 @@ class TestInputChecks:
         assert code == 4
         assert err.endswith("error: unrecognized arguments: --seed 3\n")
 
-    @pytest.mark.parametrize("command", ["infer", "network"])
-    def test_negative_mc_seed(self, tmp_path, capsys, command):
-        # It used to reach the sampler: network exited 3 with a file of
-        # per-agent errors, and infer exited 4 naming no field.
-        config = write_config(tmp_path / "c.json", k=5, prior=[1.0] * 5, theta_true=None,
-                              constraint={"f": [1.0, 0.0, 0.0, 0.0, -2.0], "F": 0.0},
-                              engine={"mc_samples": 1000, "mc_seed": -1})
-        code, err = self._run(tmp_path, capsys, [command, "--config", str(config)],
-                              {"k": 5, "n": 10, "counts": [5, 3, 2, 0, 0], "seed": 7})
+    @pytest.mark.parametrize("engine", [
+        pytest.param({"gird": 30}, id="gird"),  # used to run at the default r=240, exit 0
+        pytest.param({"grid": 30, "mc_samples": 1000}, id="mc_samples"),
+        pytest.param({"mc_seed": 2}, id="mc_seed"),
+    ])
+    def test_engine_refuses_unknown_key(self, tmp_path, capsys, engine):
+        config = write_config(tmp_path / "c.json", engine=engine)
+        code, err = self._run(tmp_path, capsys, ["network", "--config", str(config)])
         assert code == 4
-        assert err == "error: config engine.mc_seed must be >= 0, got -1\n"
+        (key,) = set(engine) - {"grid"}
+        assert err == (f"error: config engine.{key} is unknown: the engine section "
+                       "takes only grid\n")
 
-    def test_mc_sample_cap(self, tmp_path, capsys, monkeypatch):
-        # Refused before any draw; without the cap the draw would be the fault.
-        def no_draws(*args):
-            raise AssertionError("samples were drawn")
-
-        monkeypatch.setattr(engine_module, "sample_dirichlet", no_draws)
-        config = write_config(tmp_path / "c.json")
-        code, err = self._run(tmp_path, capsys, [
-            "infer", "--config", str(config), "--mc-samples", str(NODE_BUDGET + 1),
-        ])
+    def test_k5_needs_a_grid(self, tmp_path, capsys):
+        # No default grid above k = 4; with one given, the same request runs.
+        five = {"k": 5, "n": 10, "prior": [1.0] * 5, "theta_true": None,
+                "constraint": {"f": [1.0, 0.0, 0.0, 0.0, -2.0], "F": 0.0}}
+        counts = {"k": 5, "n": 10, "counts": [4, 3, 1, 0, 2], "seed": 7}
+        config = write_config(tmp_path / "c.json", engine={}, **five)
+        code, err = self._run(tmp_path, capsys, ["network", "--config", str(config)], counts)
         assert code == 4
-        assert err.startswith("error: ") and f"budget {NODE_BUDGET}" in err
+        assert err == "error: no default engine for k=5: set config engine.grid or --grid\n"
+        out = tmp_path / "x"
+        assert main(["network", "--config", str(config), "--counts", str(tmp_path / "counts.json"),
+                     "--out", str(out), "--grid", "8"]) == 0
+        assert json.loads(out.read_text())["meta"]["engine"] == {"grid": 8}
 
     @pytest.mark.parametrize("overrides, flags, named", [
         pytest.param({"engine": {"grid": 0}}, [], "engine.grid or --grid", id="config-grid-0"),
         pytest.param({}, ["--grid", "0"], "engine.grid or --grid", id="flag-grid-0"),
-        pytest.param({"engine": {"mc_samples": 1}}, [], "engine.mc_samples or --mc-samples",
-                     id="config-mc-samples-1"),
-        pytest.param({}, ["--mc-samples", "1"], "engine.mc_samples or --mc-samples",
-                     id="flag-mc-samples-1"),
     ])
     def test_engine_error_names_its_field(self, tmp_path, capsys, overrides, flags, named):
-        # Both used to name no field: "r must be >= 1", "samples must be >= 2".
+        # It used to name no field: "r must be >= 1".
         config = write_config(tmp_path / "c.json", **overrides)
         code, err = self._run(tmp_path, capsys, ["infer", "--config", str(config), *flags])
         assert code == 4
@@ -1003,7 +976,9 @@ class TestSweepBeta:
 
     def test_mc_sweep_bins_no_nodes(self, tmp_path, monkeypatch):
         # A node set builds its marginal bins on first use: a sweep writes no
-        # marginals, so its Monte-Carlo draw is never binned; a summary is.
+        # marginals, so it bins no grid; a summary does.  The cache is cleared
+        # so that no earlier test's grid, already binned, is reused.
+        simplex_module.build_grid.cache_clear()
         binned = []
         marginal_bins = simplex_module.marginal_bins
 
@@ -1012,7 +987,7 @@ class TestSweepBeta:
             return marginal_bins(nodes)
 
         monkeypatch.setattr(simplex_module, "marginal_bins", counting_bins)
-        config = write_config(tmp_path / "c.json", engine={"mc_samples": 2000})
+        config = write_config(tmp_path / "c.json", engine={"grid": 50})
         counts = tmp_path / "counts.json"
         write_payload(counts, COUNTS)
         common = ["--config", str(config), "--counts", str(counts)]
@@ -1020,7 +995,7 @@ class TestSweepBeta:
                      "--beta-min", "-1", "--beta-max", "1", "--beta-step", "0.5"]) == 0
         assert binned == []
         assert main(["infer", *common, "--out", str(tmp_path / "i.json")]) == 0
-        assert binned == [(2000, 3)]
+        assert binned == [(1326, 3)]
 
     @pytest.mark.parametrize("low, high, step, rows", [
         ("0", "1", "0.6", 2),  # used to add 1.2, past --beta-max

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.stats import dirichlet
 
 from maxent_agents import (
     AgentView,
@@ -14,7 +13,6 @@ from maxent_agents import (
     EngineSettings,
     GridEngine,
     InfeasibleConstraintError,
-    McEngine,
     PriorSpec,
     SolvedConstraint,
     me_entropy,
@@ -24,9 +22,9 @@ from maxent_agents import (
 )
 from maxent_agents import simplex as simplex_module
 from maxent_agents.engine import (BETA_CAP, MARGINAL_BINS, SOLVER_TOL, EngineRangeError,
-                                  _TiltedFamily, grid_levels, tilt_table)
+                                  _TiltedFamily, grid_levels)
 from maxent_agents.network import fit_view
-from maxent_agents.simplex import NODE_BUDGET, NodeBudgetError, NodeSet, marginal_bins
+from maxent_agents.simplex import NodeSet
 
 from oracles import (
     log_columns,
@@ -132,22 +130,6 @@ class TestFlatPrior:
         # Added to node data (signed zeros included) it gives the same bits.
         a = np.concatenate([np.zeros(3), -np.zeros(3), pts[:, 0] - 0.5])
         assert (a + got).tobytes() == (a + (const + np.zeros(a.size))).tobytes()
-
-    def test_mc_flat_proposal_keeps_node_array(self):
-        # With a flat prior and n = 0 the proposal is flat too, so its density
-        # term is a float; the log-weights must still be one per draw.
-        engine, view = McEngine(3, 5000, 0), AgentView.empty(3, 0)
-        nodes = engine.basis(FLAT3, view)
-        assert isinstance(nodes, NodeSet)
-        assert nodes.log_weights.shape == (5000,)
-        assert not nodes.log_weights.flags.writeable
-        np.testing.assert_array_equal(nodes.log_weights, np.full(5000, -np.log(5000)))
-        belief = fit_view(FLAT3, view, BIAS, engine)
-        assert abs(belief.solved.expected_f - BIAS.F) <= SOLVER_TOL
-        assert belief.normalization == pytest.approx(1.0, abs=1e-12)
-        rows = tilt_table(FLAT3, view, BIAS, [-1.0, 0.0, 1.0], engine)
-        assert rows[1][0] == pytest.approx(0.0, abs=1e-12)
-        assert rows[0][1] < rows[1][1] < rows[2][1]
 
 
 class TestLogZeta:
@@ -333,8 +315,7 @@ class TestLevelSolve:
         np.testing.assert_array_equal(fam.levels, values)
         np.testing.assert_allclose(fam.level_a, masses, rtol=1e-13)
 
-    @pytest.mark.parametrize("engine", [GridEngine(3, 240), McEngine(3, 20_000, 3)],
-                             ids=["grid", "mc"])
+    @pytest.mark.parametrize("engine", [GridEngine(3, 240)], ids=["grid"])
     def test_view_ladder(self, engine):
         counts = CountVector.of([5, 3, 2])
         specs = [ConstraintSpec.of(BIAS.f, F) for F in (-1.0, -0.5, 0.0, 0.5)]
@@ -461,8 +442,7 @@ class TestOnePass:
     the node masses `posterior` evaluates, are the values the separate
     passes they replace give, bit for bit."""
 
-    @pytest.mark.parametrize("engine", [GridEngine(3, 240), McEngine(3, 20_000, 4)],
-                             ids=["grid", "mc"])
+    @pytest.mark.parametrize("engine", [GridEngine(3, 240)], ids=["grid"])
     @pytest.mark.parametrize("visible", [{1: 5, 2: 3, 3: 2}, {2: 3}, {}])
     def test_kept_pass_matches_fresh_passes(self, engine, visible):
         view = AgentView.from_mapping(3, 10, visible)
@@ -503,79 +483,15 @@ class TestEntropy:
         assert s_me == pytest.approx(direct, abs=1e-6)
 
 
-class TestMcEngineEndToEnd:
+class TestEngineSettings:
     def test_defaults(self):
         assert isinstance(EngineSettings().build(3), GridEngine)
         assert EngineSettings().build(3).resolution == 240
         assert EngineSettings().build(4).resolution == 60
-        assert isinstance(EngineSettings().build(5), McEngine)
-
-    def test_basis_is_a_node_set(self):
-        # Logs taken once per draw; bins built on first use, kept, read-only.
-        ns = McEngine(3, 1000, seed=2).basis(FLAT3, AgentView.full(CountVector.of([5, 3, 2])))
-        assert ns.log_nodes.flags.c_contiguous
-        np.testing.assert_array_equal(ns.log_nodes, np.log(ns.nodes.T))
-        np.testing.assert_array_equal(ns.bins, marginal_bins(ns.nodes))
-        assert ns.bins is ns.bins
-        for arr in (ns.nodes, ns.log_nodes, ns.log_weights, ns.bins):
-            assert not arr.flags.writeable
-
-    @pytest.mark.parametrize("prior, visible", [
-        (PriorSpec.flat(4), {1: 5, 3: 2}),
-        (PriorSpec.of([2.0, 0.5, 1.5, 3.0]), {2: 7}),
-        (PriorSpec.of([0.7, 1.0, 2.5, 1.0]), {}),
-    ])
-    def test_basis_weights_are_proposal_density_ratio(self, prior, visible):
-        # log w_j = -log N - log(proposal density / flat density) at each draw,
-        # with the proposal's Dirichlet density taken from scipy.
-        engine = McEngine(4, 2000, seed=6)
-        view = AgentView.from_mapping(4, 12, visible)
-        ns = engine.basis(prior, view)
-        params = engine.proposal_params(prior, view)
-        ref = (-math.log(engine.samples) - dirichlet.logpdf(ns.nodes.T, params)
-               + math.lgamma(4))
-        np.testing.assert_allclose(ns.log_weights, ref, rtol=0, atol=1e-12)
-
-    def test_sample_cap(self):
-        # Refused in the constructor, before a single draw is allocated.
-        assert McEngine(5, NODE_BUDGET, seed=0).samples == NODE_BUDGET
-        with pytest.raises(NodeBudgetError, match=f"budget {NODE_BUDGET}"):
-            McEngine(5, NODE_BUDGET + 1, seed=0)
-        with pytest.raises(NodeBudgetError, match="budget"):
-            EngineSettings(mc_samples=100 * NODE_BUDGET).build(5)
-
-    def test_solve_and_normalize_k6(self):
-        k = 6
-        prior = PriorSpec.flat(k)
-        counts = CountVector.of([4, 3, 2, 2, 1, 0])
-        view = AgentView.from_mapping(k, counts.n, {1: 4, 2: 3})
-        spec = ConstraintSpec.of([1, 0, 0, 0, 0, -2], 0.0)
-        engine = McEngine(k, samples=50_000, seed=123)
-        belief = fit_view(prior, view, spec, engine)
-        assert belief.solved.residual <= 1e-9
-        assert belief.normalization == pytest.approx(1.0, abs=1e-9)
-        assert belief.solved.expected_f == pytest.approx(0.0, abs=1e-8)
-
-    def test_mc_estimates_match_conjugate_means(self):
-        # Full view, no tilt: the posterior is Dirichlet(alpha + m) and the
-        # importance-sampled means must land near the exact ones.
-        k = 5
-        counts = CountVector.of([6, 1, 3, 0, 2])
-        engine = McEngine(k, samples=100_000, seed=9)
-        belief = bayes_posterior(PriorSpec.flat(k), AgentView.full(counts), engine)
-        exact = (np.array(counts.counts) + 1.0) / (counts.n + k)
-        assert np.abs(np.array(belief.means) - exact).max() <= 0.01
-
-    def test_deterministic_per_seed(self):
-        k = 5
-        prior = PriorSpec.flat(k)
-        view = AgentView.from_mapping(k, 8, {2: 5})
-        spec = ConstraintSpec.of([1, 0, 0, 0, -1], -0.05)
-        one, two = (fit_view(prior, view, spec, McEngine(k, 20_000, 5)) for _ in range(2))
-        assert ((one.solved.expected_f, one.means, one.variances, one.normalization,
-                 one.marginals)
-                == (two.solved.expected_f, two.means, two.variances, two.normalization,
-                    two.marginals))
+        assert EngineSettings(grid=20).build(5).resolution == 20
+        # No default grid is accurate above k = 4: the grid must be chosen.
+        with pytest.raises(ValueError, match="no default engine for k=5: set config engine.grid"):
+            EngineSettings().build(5)
 
 
 def histogram_marginals(belief):
@@ -612,7 +528,7 @@ class TestMarginals:
         assert belief.marginals == histogram_marginals(belief)
 
     def test_mc_basis_past_one_histogram_block(self):
-        engine = McEngine(3, 200_000, seed=0)  # > 65,536 samples: 4 blocks
+        engine = GridEngine(3, 400)  # 80,601 nodes: 2 blocks
         belief = fit_view(FLAT3, AgentView.full(CountVector.of([5, 3, 2])), BIAS, engine)
         assert belief.marginals == histogram_marginals(belief)
 

@@ -1,4 +1,4 @@
-"""Grid nodes and Dirichlet draws, checked through the expectations they give."""
+"""Grid nodes, checked through the expectations they give, and the seeded generator."""
 import math
 
 import numpy as np
@@ -14,7 +14,8 @@ from maxent_agents import (
     ThetaPoint,
     build_grid,
 )
-from maxent_agents.simplex import compositions, sample_dirichlet
+from maxent_agents.multinomial import simulate_rolls
+from maxent_agents.simplex import compositions
 from oracles import compositions as compositions_oracle
 
 EXP_TH1 = 2 * math.e - 4  # int_0^1 e^t * 2(1-t) dt, the Beta(1,2) marginal of theta_1
@@ -79,7 +80,7 @@ class TestBuildGrid:
                 assert basis.nodes.shape[0] == math.comb(r + k - 1, k - 1)
 
     def test_budget(self):
-        with pytest.raises(NodeBudgetError, match="Monte-Carlo"):
+        with pytest.raises(NodeBudgetError, match="engine.grid or --grid"):
             build_grid(16, 9)
         build_grid(16, 8)  # C(23,15) = 490314 fits the default budget
 
@@ -177,32 +178,14 @@ class TestExpectGrid:
 
 
 class TestExpectMc:
-    def test_constant(self):
-        draws = sample_dirichlet([1.0, 1.0, 1.0], 1000, seed=3)
-        assert np.abs(draws.sum(axis=1) - 1.0).max() <= 1e-12
-        value, std_error = mc_mean(np.ones(draws.shape[0]))
-        assert value == 1.0
-        assert std_error == 0.0
-
-    def test_theta1_symmetric(self):
-        draws = sample_dirichlet([1.0, 1.0, 1.0], 200_000, seed=42)
-        value, std_error = mc_mean(draws[:, 0])
-        assert abs(value - 1 / 3) <= 3 * std_error
+    """Plain Monte-Carlo means of numpy's Dirichlet draws, an independent
+    reference for the grid's expectations."""
 
     def test_agrees_with_grid(self):
         grid_val = grid_mean(np.exp(build_grid(3, 240).nodes[:, 0]))
-        draws = sample_dirichlet([1.0, 1.0, 1.0], 200_000, seed=7)
+        draws = np.random.default_rng(7).dirichlet([1.0, 1.0, 1.0], 200_000)
         value, std_error = mc_mean(np.exp(draws[:, 0]))
         assert abs(value - grid_val) <= 3 * std_error
-
-    def test_reproducible(self):
-        def estimate(seed):
-            t = sample_dirichlet([2.0, 1.0, 3.0], 5000, seed=seed)
-            return mc_mean(t[:, 0] * t[:, 1])
-
-        a = estimate(11)
-        assert estimate(11) == a
-        assert estimate(12)[0] != a[0]
 
     def test_polynomials_match_grid(self):
         nodes = build_grid(3, 240).nodes
@@ -214,20 +197,16 @@ class TestExpectMc:
             def poly(t, coeffs=coeffs, powers=powers):
                 return sum(c * np.prod(t**p, axis=1) for c, p in zip(coeffs, powers))
 
-            draws = sample_dirichlet([1.0, 1.0, 1.0], 40_000, seed=int(rng.integers(1 << 30)))
+            seed = int(rng.integers(1 << 30))
+            draws = np.random.default_rng(seed).dirichlet([1.0, 1.0, 1.0], 40_000)
             value, std_error = mc_mean(poly(draws))
             grid_val = grid_mean(poly(nodes))
             slack = 4 * max(std_error, 1e-12)
             assert abs(value - grid_val) <= slack
 
-    def test_validates_args(self):
-        with pytest.raises(ValueError):
-            sample_dirichlet([1.0, 0.0], 10, seed=0)
-
     def test_sampler_is_pinned(self):
-        # Normalized standard-gamma draws from the one fixed Philox stream.
-        alpha = np.array([0.5, 1.0, 2.5])
+        # Simulated rolls come from the one fixed Philox stream per seed.
+        theta = [0.2, 0.5, 0.3]
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5, spawn_key=(0,))))
-        gam = rng.standard_gamma(alpha, size=(4, 3))
-        expected = gam / gam.sum(axis=1, keepdims=True)
-        assert np.array_equal(sample_dirichlet(alpha, 4, seed=5), expected)
+        expected = tuple(int(c) for c in rng.multinomial(1000, theta))
+        assert simulate_rolls(theta, 1000, seed=5).counts == expected

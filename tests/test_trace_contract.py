@@ -52,7 +52,11 @@ def test_every_declared_layer_is_traced(tmp_path, network, counts, grid, fits):
         assert cli.main(["network", "--config", str(tmp_path / "config.json"),
                          "--counts", str(tmp_path / "counts.json"),
                          "--out", str(tmp_path / "out.json")]) == 0
-    assert tracer.missing == []
+    # perfbench/tracing.py still lists the retired Monte-Carlo engine's two
+    # functions, and will until the benchmark-upkeep change (ROADMAP item 1)
+    # drops them; perfbench/ is left as it is here.  Nothing else may be missing.
+    assert tracer.missing == ["maxent_agents.engine.McEngine.basis",
+                              "maxent_agents.engine.sample_dirichlet"]
     (metrics,) = tracing.request_metrics(tracer.spans, k).values()
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert sorted(declared - RUNNER_METRICS - set(metrics)) == []
