@@ -20,10 +20,10 @@ densities are handled in log space; the beta-independent part of the
 log-integrand is computed once per (prior, view, engine), reused across
 every beta the solver visits, and kept on the fitted SolvedConstraint.  Newton
 runs on f's levels, its distinct values (cached per grid and f), each fit
-folding its nodes onto them once; one node pass at the final beta follows.
-A fit goes SolvedConstraint -> `posterior`'s node masses ->
-`posterior_summary`'s Belief, the one value that holds the solve, the
-masses and the summary.
+folding its nodes onto them once; one node pass at the final beta follows,
+and `posterior` returns its kept weights.  `posterior_summary` reads them
+once, through the node set's per-side coordinate levels; the Belief holds the
+solve and its summary.  Weighted sums over nodes take a fixed order, no BLAS.
 
 With no data the result is the exponentially tilted prior (pure moment
 matching); with beta = 0 it is the conjugate Dirichlet update.  The
@@ -50,7 +50,6 @@ SOLVER_TOL = 1e-9
 MAX_ITER = 200
 BETA_CAP = 2.0**16
 DEFAULT_RESOLUTION = {2: 960, 3: 240, 4: 60}  # the default engine's grid, by k
-BLOCK = 65_536  # np.histogram bins this many nodes per bincount
 MARGINAL_ABSCISSA = tuple(float(v) for v in 0.5 * (MARGINAL_EDGES[:-1] + MARGINAL_EDGES[1:]))
 
 
@@ -148,8 +147,8 @@ class ConstraintSpec:
 class SolvedConstraint:
     """A fitted multiplier: beta, the log normalizer and <f> under the kept
     weights, with the tilted family it was fitted on (prior, view, constraint
-    and the engine's node set), from which `posterior` weighs the nodes, and
-    the read-only normalized node weights of the pass that gave log_zeta.
+    and the engine's node set) and the read-only normalized node weights of
+    the pass that gave log_zeta, which `posterior` returns.
     """
 
     beta: float
@@ -221,8 +220,8 @@ class _TiltedFamily:
             )
         self.prior, self.view, self.spec = prior, view, spec
         self.nodes = ns = engine.basis(prior, view)
-        self.a = (ns.log_weights + prior.log_rel_density(ns.log_nodes)
-                  + view_log_likelihood_nodes(view, ns.nodes, ns.log_nodes))
+        self.a = np.add(ns.log_weights, prior.log_rel_density(ns.log_nodes))
+        self.a += view_log_likelihood_nodes(view, ns.nodes, ns.log_nodes)
         if not np.all(np.isfinite(self.a)):
             j = int(np.flatnonzero(~np.isfinite(self.a))[0])
             raise ValueError(
@@ -385,24 +384,18 @@ def solve_beta(prior: PriorSpec, view: AgentView, constraint: ConstraintSpec,
 
 
 def posterior(solved: SolvedConstraint) -> np.ndarray:
-    """The read-only node masses exp(a + beta f - log zeta) of a fitted multiplier:
-    the normalized posterior's engine mass on each node of the family the solve
-    fitted on.  For a posterior without a moment constraint, solve
-    `ConstraintSpec.none(k)` (beta = 0).
-    """
-    fam = solved.family
-    mass = np.exp(fam.a + solved.beta * fam.f - solved.log_zeta)
-    mass.flags.writeable = False
-    return mass
+    """The read-only node masses of a fit, its normalized posterior's engine mass
+    on each node: the weights the solve kept from its final pass.  For a posterior
+    without a moment constraint, solve `ConstraintSpec.none(k)` (beta = 0)."""
+    return solved.weights
 
 
 @dataclass(frozen=True, eq=False)
 class Belief:
-    """One fitted update: the solve, its node masses (see `posterior`) and the
-    cheap-to-serialize summary of the posterior under its engine."""
+    """One fitted update: the solve and the cheap-to-serialize summary of
+    the posterior under its engine."""
 
     solved: SolvedConstraint
-    node_mass: np.ndarray = field(repr=False)
     means: tuple[float, ...]
     variances: tuple[float, ...]
     normalization: float
@@ -427,42 +420,41 @@ class Belief:
         )
 
 
-def posterior_summary(solved: SolvedConstraint, node_mass: np.ndarray) -> Belief:
-    """The belief of a fit: component means/variances, normalization check
-    (the sum of `node_mass`), marginal tables.
+def posterior_summary(solved: SolvedConstraint, weights: np.ndarray) -> Belief:
+    """The belief of a fit from its node `weights` (see `posterior`): component
+    means/variances, normalization check, marginal tables.
 
-    Marginals are per-component density estimates on the fixed abscissa
-    MARGINAL_ABSCISSA of bin centers over [0, 1] (bin mass divided by bin
-    width), suitable for plotting; bin masses equal `np.histogram`'s bit for bit.
+    One gather over the node set's per-side `levels` sums the weights per
+    coordinate level; means, second moments and marginal bin masses are sums
+    of those level masses.  The normalization sum_g exp(L_g + beta v_g - log
+    zeta) over f's levels checks the final pass's log zeta by a separate sum.
+    Marginals are density estimates on the bin centers MARGINAL_ABSCISSA (bin
+    mass divided by bin width); the bin masses are np.histogram's.
     """
-    nodes, w = solved.family.nodes, solved.weights
-    means = nodes.nodes.T @ w
-    second = (nodes.nodes**2).T @ w
-    variances = np.maximum(second - means**2, 0.0)
-    # Engine expectation of the normalized density; exactly 1 up to roundoff
-    # because the normalizer is the same engine sum.
-    normalization = float(np.sum(node_mass))
-    marginals = []
-    for side in nodes.bins:  # one bincount per np.histogram block, added in its order
-        mass = sum(np.bincount(side[i:i + BLOCK], w[i:i + BLOCK], MARGINAL_BINS)
-                   for i in range(0, w.size, BLOCK))
-        marginals.append(tuple((mass * MARGINAL_BINS).tolist()))
-    return Belief(solved, node_mass, tuple(means.tolist()), tuple(variances.tolist()),
-                  normalization, tuple(marginals))
+    fam, (order, starts, value, side, cell) = solved.family, solved.family.nodes.levels
+    k = fam.spec.k
+    mass = np.add.reduceat(weights[order], starts)
+    means = np.bincount(side, mass * value, k)
+    variances = np.maximum(np.bincount(side, mass * value**2, k) - means**2, 0.0)
+    normalization = float(np.exp(fam.level_a + solved.beta * fam.levels - solved.log_zeta).sum())
+    marginals = np.bincount(cell, mass, k * MARGINAL_BINS) * MARGINAL_BINS
+    return Belief(solved, tuple(means.tolist()), tuple(variances.tolist()), normalization,
+                  tuple(map(tuple, marginals.reshape(k, MARGINAL_BINS).tolist())))
 
 
 def me_entropy(belief: Belief) -> float:
     """Entropy of the update: s_me = log zeta - beta * F.
 
-    The value is checked against a direct node-wise evaluation of
-    -E[p * log(p / p_ref)] with p_ref the prior-times-likelihood density;
-    disagreement beyond 1e-6 raises, since that indicates a broken solve.
-    A positive s_me beyond roundoff raises too: it is a negated divergence.
+    The value is checked against -E[log(p / p_ref)], p_ref the prior-times-
+    likelihood density, summed over f's levels: p / p_ref = e^{beta f} / zeta
+    is constant on a level.  Disagreement beyond 1e-6 raises, since that
+    indicates a broken solve.  A positive s_me beyond roundoff raises too: it
+    is a negated divergence.
     """
-    solved = belief.solved
-    s_me = solved.log_zeta - solved.beta * solved.family.spec.F
-    log_p_over_ref = solved.beta * solved.family.f - solved.log_zeta
-    direct = -float(belief.node_mass @ log_p_over_ref)
+    solved, fam = belief.solved, belief.solved.family
+    s_me = solved.log_zeta - solved.beta * fam.spec.F
+    log_ratio = solved.beta * fam.levels - solved.log_zeta
+    direct = -float(np.einsum("i,i->", np.exp(fam.level_a + log_ratio), log_ratio))
     if abs(s_me - direct) > 1e-6:
         raise ConvergenceError(
             f"entropy identity violated: log_zeta - beta*F = {s_me!r} but the "

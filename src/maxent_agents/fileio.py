@@ -5,10 +5,9 @@ encoder: keys keep their insertion order, each float is printed as
 Python's shortest round-trip repr (it parses back to the same double), a
 NaN or an infinity is refused, and the file ends with a newline.  Given
 the same inputs and seeds, outputs are therefore byte-identical across
-runs and platforms with the same floating-point environment.  The fit's
-weighted sums take a fixed order, but the summary's means and variances
-are BLAS products: on large grids (k=3 at r=600) they may move in their
-last digits with the BLAS thread count, so pin it when comparing those.
+runs and platforms with the same floating-point environment.  The weighted
+sums of the fit and its summary take a fixed order, without BLAS, so outputs
+do not depend on the BLAS thread count.
 Outputs are rewritten in place and then cut to length, without O_TRUNC: on
 ext4 (auto_da_alloc) truncating a non-empty file to zero makes close start
 writeback.  A crash mid-write can thus leave a tail of the old bytes where
@@ -26,7 +25,7 @@ import math
 import os
 import stat
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -37,6 +36,8 @@ from .simplex import NODE_BUDGET, ThetaPoint
 
 
 MAX_COUNT = 2**53  # the likelihood takes counts as float64s, exact up to here
+NETWORK_KEYS = {"complete": ("preset", "k"), "triangle-lattice": ("preset", "rows", "cols"),
+                "explicit": ("preset", "k", "edges")}
 _ENCODER = json.JSONEncoder(allow_nan=False)  # json.dumps with a keyword builds one per call
 
 
@@ -63,6 +64,25 @@ def as_field(value: Any, name: str, kind: Any = int):
         what = "an integer" if kind is int else "a number" if kind is float else "a list"
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return out
+
+
+def refuse_unknown(section: Mapping[str, Any], prefix: str, owner: str, known: Sequence[str]):
+    """Raise a ValueError naming the first key of `section` outside `known`."""
+    for key in section:
+        if key not in known:
+            raise ValueError(f"config {prefix}{key} is unknown: {owner} takes only "
+                             + ", ".join(known))
+
+
+def network_preset(spec: Mapping[str, Any]) -> str:
+    """The preset a network section names ("explicit" if it gives only edges), its
+    keys checked against that preset's; an unknown preset or key is a ValueError."""
+    preset = spec.get("preset", "explicit" if "edges" in spec else None)
+    if not (isinstance(preset, str) and preset in NETWORK_KEYS):
+        raise ValueError(
+            f"unknown network preset {preset!r}; use complete, triangle-lattice or explicit")
+    refuse_unknown(spec, "network.", f"the {preset} preset", NETWORK_KEYS[preset])
+    return preset
 
 
 def _dumps(payload: Mapping[str, Any]) -> str:
@@ -157,10 +177,7 @@ class EngineSettings:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "EngineSettings":
-        for key in payload:
-            if key != "grid":
-                raise ValueError(f"config engine.{key} is unknown: the engine section takes "
-                                 "only grid")
+        refuse_unknown(payload, "engine.", "the engine section", ("grid",))
         return cls(as_field(payload["grid"], "config engine.grid") if "grid" in payload else None)
 
 
@@ -204,7 +221,7 @@ class ExperimentConfig:
 
     def build_network(self) -> AgentNetwork:
         spec = self.network or {"preset": "complete"}
-        preset = spec.get("preset", "explicit" if "edges" in spec else None)
+        preset = network_preset(spec)
 
         def field(key: str, default: Any = None, kind: Any = int):
             return as_field(spec.get(key, default), f"config network.{key}", kind)
@@ -221,16 +238,12 @@ class ExperimentConfig:
             rows, cols = field("rows"), field("cols")
             agents(rows * cols, "network.rows * network.cols")
             return triangle_lattice_network(rows, cols)
-        if preset == "explicit":
-            k = agents(field("k", self.k), "network.k")
-            edges = field("edges", [], [[int]])
-            for edge in edges:
-                if len(edge) != 2:
-                    raise ValueError(f"config network.edges entry {edge} is not a pair of agents")
-            return AgentNetwork(k, edges)
-        raise ValueError(
-            f"unknown network preset {preset!r}; use complete, triangle-lattice or explicit"
-        )
+        k = agents(field("k", self.k), "network.k")
+        edges = field("edges", [], [[int]])
+        for edge in edges:
+            if len(edge) != 2:
+                raise ValueError(f"config network.edges entry {edge} is not a pair of agents")
+        return AgentNetwork(k, edges)
 
     def to_payload(self) -> dict:
         c, theta = self.constraint, self.theta_true
@@ -255,6 +268,11 @@ class ExperimentConfig:
             if value is not None and not isinstance(value, Mapping):
                 got = type(value).__name__
                 raise ValueError(f"config {section} must be a JSON object, got {got}")
+        refuse_unknown(payload, "", "a config", [f.name for f in fields(cls)])
+        refuse_unknown(payload.get("constraint") or {}, "constraint.", "the constraint section",
+                       ("f", "F"))
+        if payload.get("network"):
+            network_preset(payload["network"])
 
         def field(key: str, default: Any = None, kind: Any = int):
             *section, leaf = key.split(".")

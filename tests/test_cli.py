@@ -695,6 +695,46 @@ class TestInputChecks:
         assert err == (f"error: config engine.{key} is unknown: the engine section "
                        "takes only grid\n")
 
+    @pytest.mark.parametrize("overrides, named, known", [
+        # Each used to run on the default it misspelt, exit 0.
+        pytest.param({"rund": 0}, "rund", "a config takes only k, n, seed, prior, constraint, "
+                     "theta_true, network, round, engine", id="rund"),
+        pytest.param({"constraint": {"f": [1.0, 0.0, -2.0], "F": 0.0, "FF": 0.5}},
+                     "constraint.FF", "the constraint section takes only f, F", id="FF"),
+        pytest.param({"network": {"preset": "triangle-lattice", "rows": 1, "cols": 3, "colz": 4}},
+                     "network.colz", "the triangle-lattice preset takes only preset, rows, cols",
+                     id="colz"),
+        pytest.param({"network": {"preset": "complete", "rows": 3}}, "network.rows",
+                     "the complete preset takes only preset, k", id="complete-rows"),
+        pytest.param({"network": {"edges": [[1, 2]], "egdes": []}}, "network.egdes",
+                     "the explicit preset takes only preset, k, edges", id="egdes"),
+    ])
+    @pytest.mark.parametrize("command", ["infer", "network", "sweep-beta"])
+    def test_config_refuses_unknown_key(self, tmp_path, capsys, command, overrides, named,
+                                        known):
+        # Refused when the config is read, by every command that reads one.
+        argv = [command, "--config", str(write_config(tmp_path / "c.json", **overrides))]
+        if command == "sweep-beta":
+            argv += ["--beta-min", "0", "--beta-max", "1", "--beta-step", "0.5"]
+        code, err = self._run(tmp_path, capsys, argv)
+        assert code == 4
+        assert err == f"error: config {named} is unknown: {known}\n"
+
+    def test_record_config_echo_loads(self, tmp_path):
+        # Every key a record echoes is a config key: the echo loads as the config.
+        for network in ({"preset": "complete", "k": 3}, {"preset": "explicit", "edges": [[1, 2]]},
+                        {"preset": "triangle-lattice", "rows": 1, "cols": 3}):
+            config = write_config(tmp_path / "c.json", network=network, engine={"grid": 30})
+            counts = tmp_path / "counts.json"
+            write_payload(counts, COUNTS)
+            out = tmp_path / "net.json"
+            assert main(["network", "--config", str(config), "--counts", str(counts),
+                         "--out", str(out)]) == 0
+            echo = json.loads(out.read_text())["config"]
+            write_payload(config, echo)
+            assert load_config(config) == ExperimentConfig.from_payload(echo)
+            assert load_config(config).to_payload() == echo
+
     def test_k5_needs_a_grid(self, tmp_path, capsys):
         # No default grid above k = 4; with one given, the same request runs.
         five = {"k": 5, "n": 10, "prior": [1.0] * 5, "theta_true": None,
@@ -975,18 +1015,18 @@ class TestSweepBeta:
             assert ef == fam.mean_f(fam.tilt(beta)[0])
 
     def test_mc_sweep_bins_no_nodes(self, tmp_path, monkeypatch):
-        # A node set builds its marginal bins on first use: a sweep writes no
-        # marginals, so it bins no grid; a summary does.  The cache is cleared
-        # so that no earlier test's grid, already binned, is reused.
+        # A node set builds its per-side level tables on first use: a sweep
+        # writes no summary, so it builds none; a summary does.  The cache is
+        # cleared so that no earlier test's grid, its tables built, is reused.
         simplex_module.build_grid.cache_clear()
         binned = []
-        marginal_bins = simplex_module.marginal_bins
+        side_levels = simplex_module.side_levels
 
-        def counting_bins(nodes):
+        def counting_levels(nodes):
             binned.append(nodes.shape)
-            return marginal_bins(nodes)
+            return side_levels(nodes)
 
-        monkeypatch.setattr(simplex_module, "marginal_bins", counting_bins)
+        monkeypatch.setattr(simplex_module, "side_levels", counting_levels)
         config = write_config(tmp_path / "c.json", engine={"grid": 50})
         counts = tmp_path / "counts.json"
         write_payload(counts, COUNTS)

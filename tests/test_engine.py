@@ -1,4 +1,5 @@
 """Solver, posterior, summary, and entropy tests."""
+import dataclasses
 import itertools
 import math
 
@@ -21,8 +22,8 @@ from maxent_agents import (
     solve_beta,
 )
 from maxent_agents import simplex as simplex_module
-from maxent_agents.engine import (BETA_CAP, MARGINAL_BINS, SOLVER_TOL, EngineRangeError,
-                                  _TiltedFamily, grid_levels)
+from maxent_agents.engine import (BETA_CAP, MARGINAL_BINS, SOLVER_TOL, ConvergenceError,
+                                  EngineRangeError, _TiltedFamily, grid_levels)
 from maxent_agents.network import fit_view
 from maxent_agents.simplex import NodeSet
 
@@ -438,9 +439,9 @@ class TestSequentialVsSimultaneous:
 
 
 class TestOnePass:
-    """One exp pass per beta: the weights and log zeta the solve keeps, and
-    the node masses `posterior` evaluates, are the values the separate
-    passes they replace give, bit for bit."""
+    """One exp pass per beta: the weights and log zeta the solve keeps are the
+    values the separate passes they replace give, bit for bit, and
+    `posterior` returns those kept weights without another pass."""
 
     @pytest.mark.parametrize("engine", [GridEngine(3, 240)], ids=["grid"])
     @pytest.mark.parametrize("visible", [{1: 5, 2: 3, 3: 2}, {2: 3}, {}])
@@ -455,10 +456,8 @@ class TestOnePass:
         w = np.exp(t - t.max())
         np.testing.assert_array_equal(solved.weights, w / w.sum())
         assert solved.log_zeta == float(t.max() + np.log(np.sum(np.exp(t - t.max()))))
-        mass = posterior(solved)
-        np.testing.assert_array_equal(mass, np.exp(fam.a + beta * fam.f - solved.log_zeta))
-        for arr in (solved.weights, mass):
-            assert not arr.flags.writeable
+        assert posterior(solved) is solved.weights
+        assert not solved.weights.flags.writeable
 
 
 class TestEntropy:
@@ -483,6 +482,22 @@ class TestEntropy:
         assert s_me == pytest.approx(direct, abs=1e-6)
 
 
+    def test_level_checks_catch_a_bad_log_zeta(self, eng240):
+        # The normalization and the entropy's direct sum are taken over f's
+        # levels, apart from the final node pass, so a log zeta off by 1e-6
+        # shows in both: the normalization misses 1 by about 1e-6, and the
+        # identity breaks by about |s_me| * 1e-6 = 4.2e-6, past its 1e-6 bound.
+        solved = solve_beta(FLAT3, AgentView.full(CountVector.of([5, 3, 2])), BIAS, eng240)
+        good = posterior_summary(solved, posterior(solved))
+        assert abs(good.normalization - 1.0) <= 1e-12
+        assert me_entropy(good) == pytest.approx(-4.19, abs=0.01)
+        bad = dataclasses.replace(solved, log_zeta=solved.log_zeta + 1e-6)
+        belief = posterior_summary(bad, posterior(bad))
+        assert abs(belief.normalization - 1.0) > 1e-9
+        with pytest.raises(ConvergenceError, match="entropy identity violated"):
+            me_entropy(belief)
+
+
 class TestEngineSettings:
     def test_defaults(self):
         assert isinstance(EngineSettings().build(3), GridEngine)
@@ -494,43 +509,66 @@ class TestEngineSettings:
             EngineSettings().build(5)
 
 
-def histogram_marginals(belief):
-    """np.histogram's marginal tables for a belief, scaled to densities."""
-    fam = belief.solved.family
-    w = fam.tilt(belief.solved.beta)[0]
-    theta = fam.nodes.nodes
-    return tuple(
-        tuple(np.histogram(theta[:, i], bins=MARGINAL_BINS, range=(0.0, 1.0),
-                           weights=w)[0] * MARGINAL_BINS)
-        for i in range(theta.shape[1])
-    )
+def histogram_masses(belief):
+    """np.histogram's marginal bin masses for the weights a belief summarizes."""
+    theta, w = belief.solved.family.nodes.nodes, belief.solved.weights
+    return [np.histogram(theta[:, i], bins=MARGINAL_BINS, range=(0.0, 1.0), weights=w)[0]
+            for i in range(theta.shape[1])]
+
+
+def dyadic_summary(solved, seed=0):
+    """The summary of `solved` with its weights replaced by multiples of 2**-40
+    below 2**-30: every partial sum of at most 2**20 of them is exact, so a
+    bin mass is one double whatever order its weights are added in."""
+    w = np.random.default_rng(seed).integers(1, 2**10, solved.weights.size) * 2.0**-40
+    dyadic = dataclasses.replace(solved, weights=w)
+    return posterior_summary(dyadic, posterior(dyadic))
+
+
+def assert_marginals_are_histograms(belief):
+    for row, masses in zip(belief.marginals, histogram_masses(belief), strict=True):
+        assert row == tuple(masses * MARGINAL_BINS)
+
+
+def counting_levels(monkeypatch):
+    """Count `side_levels` builds, by node-table shape."""
+    built, side_levels = [], simplex_module.side_levels
+
+    def counting(nodes):
+        built.append(nodes.shape)
+        return side_levels(nodes)
+
+    monkeypatch.setattr(simplex_module, "side_levels", counting)
+    return built
 
 
 class TestMarginals:
-    """Marginal tables are bincounts over a bin table; they must equal
-    np.histogram bit for bit, on grids, past its 65,536-node block, and for
-    coordinates exactly on bin edges or at 1.0."""
+    """The summary reads the weights through each node set's per-side
+    coordinate levels.  Its bin masses equal np.histogram's bit for bit on
+    dyadic weights, where summation order cannot matter: on grids, past
+    np.histogram's 65,536-node block, and for coordinates exactly on bin
+    edges or at 1.0.  The level tables are built once per node set."""
 
     @pytest.mark.parametrize("k, r", [(2, 960), (3, 240), (4, 60), (16, 5)])
     def test_grid_matches_histogram(self, k, r, monkeypatch):
         view = AgentView.from_mapping(k, 4 if k == 2 else 6, {1: 3, 2: 1})
         f = [1.0] + [0.0] * (k - 2) + [-2.0]
-        engine = GridEngine(k, r)
+        grid = GridEngine(k, r).grid
+        # A fresh node set on the grid's arrays, so its tables are built here.
+        engine = type("FreshGrid", (), {"k": k, "basis": lambda self, prior, view: fresh})()
+        fresh = NodeSet(grid.nodes, grid.log_nodes, grid.log_weights)
+        built = counting_levels(monkeypatch)
         solved = solve_beta(PriorSpec.flat(k), view, ConstraintSpec.of(f, 0.0), engine)
-        mass = posterior(solved)
-        assert engine.grid.bins is engine.grid.bins  # built on first use, then kept
-
-        def no_binning(nodes):
-            raise AssertionError("a grid's nodes were binned again")
-
-        monkeypatch.setattr(simplex_module, "marginal_bins", no_binning)
-        belief = posterior_summary(solved, mass)
-        assert belief.marginals == histogram_marginals(belief)
+        assert built == []
+        for seed in range(2):
+            assert_marginals_are_histograms(dyadic_summary(solved, seed))
+        assert built == [grid.nodes.shape]
+        assert fresh.levels is fresh.levels
 
     def test_mc_basis_past_one_histogram_block(self):
         engine = GridEngine(3, 400)  # 80,601 nodes: 2 blocks
-        belief = fit_view(FLAT3, AgentView.full(CountVector.of([5, 3, 2])), BIAS, engine)
-        assert belief.marginals == histogram_marginals(belief)
+        solved = solve_beta(FLAT3, AgentView.full(CountVector.of([5, 3, 2])), BIAS, engine)
+        assert_marginals_are_histograms(dyadic_summary(solved))
 
     def test_coordinates_on_bin_edges_and_at_one(self):
         edges = np.linspace(0.0, 1.0, MARGINAL_BINS + 1)
@@ -548,6 +586,30 @@ class TestMarginals:
                 logw = np.log(np.random.default_rng(6).uniform(0.5, 1.5, size=x.size))
                 return NodeSet(nodes, log_columns(nodes), logw - np.log(np.exp(logw).sum()))
 
-        belief = bayes_posterior(PriorSpec.flat(2), AgentView.empty(2, 0), FixedNodes())
+        solved = solve_beta(PriorSpec.flat(2), AgentView.empty(2, 0), ConstraintSpec.none(2),
+                            FixedNodes())
         assert {0.0, 1.0} <= set(x.tolist())
-        assert belief.marginals == histogram_marginals(belief)
+        assert_marginals_are_histograms(dyadic_summary(solved))
+
+    @pytest.mark.parametrize("k, r", [(2, 960), (3, 240), (4, 60), (16, 5), (3, 400)])
+    def test_real_fits_match_exact_sums(self, k, r):
+        # Against correctly rounded sums (math.fsum) over the nodes.  Over these
+        # cases the summary was off by at most 8.9e-16 in a mean, 1.2e-15 in a
+        # variance and 2.2e-16 in a bin mass (the BLAS products and bincounts it
+        # replaced: 4.4e-15, 4.2e-15 and 9.1e-14); the bounds are 10x those.
+        f = [1.0] + [0.0] * (k - 2) + [-2.0]
+        for visible, F in (({1: 3, 2: 1}, 0.0), ({1: 1}, 0.3)):
+            view = AgentView.from_mapping(k, 4 if k == 2 else 6, visible)
+            solved = solve_beta(PriorSpec.flat(k), view, ConstraintSpec.of(f, F), GridEngine(k, r))
+            belief = posterior_summary(solved, posterior(solved))
+            theta, w = solved.family.nodes.nodes, solved.weights
+            edges = np.linspace(0.0, 1.0, MARGINAL_BINS + 1)
+            bins = np.minimum(np.searchsorted(edges, theta, "right") - 1, MARGINAL_BINS - 1)
+            for i in range(k):
+                mean = math.fsum(w * theta[:, i])
+                assert belief.means[i] == pytest.approx(mean, rel=0, abs=1e-14)
+                variance = math.fsum(w * theta[:, i] ** 2) - mean**2
+                assert belief.variances[i] == pytest.approx(variance, rel=0, abs=1.2e-14)
+                exact = [math.fsum(w[bins[:, i] == b]) for b in range(MARGINAL_BINS)]
+                np.testing.assert_allclose(np.array(belief.marginals[i]) / MARGINAL_BINS, exact,
+                                           rtol=0, atol=2.2e-15)

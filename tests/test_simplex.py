@@ -92,13 +92,35 @@ class TestBuildGrid:
         grid = build_grid(3, 17)
         assert build_grid(3, 17) is grid
         assert GridEngine(3, 17).grid is grid
-        assert grid.bins.shape == (3, grid.nodes.shape[0]) and grid.bins.dtype == np.uint8
-        for table in (grid.nodes, grid.bins):
+        assert grid.levels is grid.levels
+        for table in (grid.nodes, grid.levels[0].reshape(3, -1)):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0
             with pytest.raises(ValueError, match="read-only"):
                 table += 1
+
+    @pytest.mark.parametrize("k, r", [(2, 960), (3, 240), (16, 5)])
+    def test_side_levels(self, k, r):
+        # Each side's levels are its column's distinct values in increasing
+        # order; the flattened order lists every side's column sorted, each
+        # side's ties in node order, and a level's cell is its side's block
+        # plus np.histogram's bin of the value.
+        grid = build_grid(k, r)
+        n = grid.nodes.shape[0]
+        order, starts, value, side, cell = grid.levels
+        order = order.reshape(k, n)
+        for i in range(k):
+            column = grid.nodes[:, i]
+            np.testing.assert_array_equal(order[i], np.argsort(column, kind="stable"))
+            mine = side == i
+            np.testing.assert_array_equal(value[mine], np.unique(column))
+            runs = np.append(starts[mine], (i + 1) * n) - i * n
+            np.testing.assert_array_equal(np.repeat(value[mine], np.diff(runs)), column[order[i]])
+            hist = [np.histogram([v], bins=100, range=(0.0, 1.0))[0].argmax() for v in value[mine]]
+            np.testing.assert_array_equal(cell[mine], 100 * i + np.array(hist))
+        for arr in grid.levels:
+            assert not arr.flags.writeable
 
     @pytest.mark.parametrize("k, r", [(2, 960), (3, 240), (16, 5)])
     def test_log_tables(self, k, r):
