@@ -25,7 +25,7 @@ from .network import (
     triangle_lattice_network,
     views_at_round,
 )
-from .simplex import NodeBudgetError, ThetaPoint, build_grid
+from .simplex import NodeBudgetError, build_grid
 
 __all__ = [
     "AgentView",
@@ -38,7 +38,6 @@ __all__ = [
     "NodeBudgetError",
     "PriorSpec",
     "SolvedConstraint",
-    "ThetaPoint",
     "belief_divergence",
     "build_grid",
     "complete_network",

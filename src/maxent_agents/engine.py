@@ -47,6 +47,7 @@ from .multinomial import AgentView, log_power, view_log_likelihood_nodes
 from .simplex import GRID_CACHE_SIZE, MARGINAL_BINS, MARGINAL_EDGES, NodeSet, build_grid
 
 SOLVER_TOL = 1e-9
+NORMALIZATION_TOL = 1e-9
 MAX_ITER = 200
 BETA_CAP = 2.0**16
 DEFAULT_RESOLUTION = {2: 960, 3: 240, 4: 60}  # the default engine's grid, by k
@@ -448,8 +449,10 @@ def me_entropy(belief: Belief) -> float:
     The value is checked against -E[log(p / p_ref)], p_ref the prior-times-
     likelihood density, summed over f's levels: p / p_ref = e^{beta f} / zeta
     is constant on a level.  Disagreement beyond 1e-6 raises, since that
-    indicates a broken solve.  A positive s_me beyond roundoff raises too: it
-    is a negated divergence.
+    indicates a broken solve.  The identity sees a log zeta error only times
+    |s_me|, so the belief's normalization must also be 1 within
+    NORMALIZATION_TOL.  A positive s_me beyond roundoff raises too: it is a
+    negated divergence.  Every refusal is a ConvergenceError.
     """
     solved, fam = belief.solved, belief.solved.family
     s_me = solved.log_zeta - solved.beta * fam.spec.F
@@ -460,6 +463,9 @@ def me_entropy(belief: Belief) -> float:
             f"entropy identity violated: log_zeta - beta*F = {s_me!r} but the "
             f"direct functional evaluates to {direct!r}"
         )
+    if not abs(belief.normalization - 1.0) <= NORMALIZATION_TOL:
+        raise ConvergenceError(f"normalization = {belief.normalization!r} misses 1 by more "
+                               f"than {NORMALIZATION_TOL!r}: log zeta does not normalize the fit")
     if s_me > 1e-9:
         raise ConvergenceError(f"s_me = {s_me!r} > 0, but a maximized relative "
                                "entropy is <= 0: the engine's quadrature is unreliable")

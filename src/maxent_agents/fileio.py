@@ -20,19 +20,20 @@ command-line shorthand, "f=1,0,-2;F=0".
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import stat
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from .engine import DEFAULT_RESOLUTION, ConstraintSpec, GridEngine
-from .multinomial import CountVector
+from .engine import DEFAULT_RESOLUTION, ConstraintSpec, GridEngine, PriorSpec
+from .multinomial import CountVector, theta_point
 from .network import AgentNetwork, complete_network, triangle_lattice_network
-from .simplex import NODE_BUDGET, ThetaPoint
+from .simplex import NODE_BUDGET
 
 
 MAX_COUNT = 2**53  # the likelihood takes counts as float64s, exact up to here
@@ -72,17 +73,6 @@ def refuse_unknown(section: Mapping[str, Any], prefix: str, owner: str, known: S
         if key not in known:
             raise ValueError(f"config {prefix}{key} is unknown: {owner} takes only "
                              + ", ".join(known))
-
-
-def network_preset(spec: Mapping[str, Any]) -> str:
-    """The preset a network section names ("explicit" if it gives only edges), its
-    keys checked against that preset's; an unknown preset or key is a ValueError."""
-    preset = spec.get("preset", "explicit" if "edges" in spec else None)
-    if not (isinstance(preset, str) and preset in NETWORK_KEYS):
-        raise ValueError(
-            f"unknown network preset {preset!r}; use complete, triangle-lattice or explicit")
-    refuse_unknown(spec, "network.", f"the {preset} preset", NETWORK_KEYS[preset])
-    return preset
 
 
 def _dumps(payload: Mapping[str, Any]) -> str:
@@ -184,7 +174,8 @@ class EngineSettings:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs: die, prior, constraint, network, engine.
-    A missing prior is the flat one, built once k is checked."""
+    A missing prior is the flat one, built once k is checked.  Each section is
+    checked here, however the config is made; only the grid waits for a fit."""
 
     k: int
     n: int
@@ -210,40 +201,50 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.prior) != self.k:
             raise ValueError(f"prior has {len(self.prior)} parameters, expected {self.k}")
+        PriorSpec(self.prior)
         if self.constraint is not None and self.constraint.k != self.k:
             raise ValueError(f"constraint f has length {self.constraint.k}, expected {self.k}")
-        if self.theta_true is not None:
-            ThetaPoint.of(self.theta_true)
-            if len(self.theta_true) != self.k:
-                raise ValueError("theta_true has wrong dimension")
+        if self.theta_true is not None and theta_point(self.theta_true).size != self.k:
+            raise ValueError("theta_true has wrong dimension")
         if self.round < 0:
             raise ValueError("round must be >= 0")
+        object.__setattr__(self, "_network", self._network_builder())
 
-    def build_network(self) -> AgentNetwork:
+    def _network_builder(self) -> Callable[[], AgentNetwork]:
+        """What builds the graph, once one pass has checked the network section: preset,
+        keys, value types, edge pairs and k agents.  Only an explicit graph is built here."""
         spec = self.network or {"preset": "complete"}
-        preset = network_preset(spec)
+        preset = spec.get("preset", "explicit" if "edges" in spec else None)
+        if not (isinstance(preset, str) and preset in NETWORK_KEYS):
+            raise ValueError(
+                f"unknown network preset {preset!r}; use complete, triangle-lattice or explicit")
+        refuse_unknown(spec, "network.", f"the {preset} preset", NETWORK_KEYS[preset])
 
         def field(key: str, default: Any = None, kind: Any = int):
             return as_field(spec.get(key, default), f"config network.{key}", kind)
 
-        def agents(size: int, named: str) -> int:
-            """`size`, refused before a graph of that many agents is built unless it is k."""
+        def agents(size: int, named: str) -> None:
             if size != self.k:
                 raise ValueError(f"config {named} gives {size} agents, but config k is {self.k}")
-            return size
 
-        if preset == "complete":
-            return complete_network(agents(field("k", self.k), "network.k"))
         if preset == "triangle-lattice":
             rows, cols = field("rows"), field("cols")
             agents(rows * cols, "network.rows * network.cols")
-            return triangle_lattice_network(rows, cols)
-        k = agents(field("k", self.k), "network.k")
+            if rows < 1:  # rows * cols is k >= 2, so both are negative
+                raise ValueError("rows and cols must be >= 1")
+            return functools.partial(triangle_lattice_network, rows, cols)
+        agents(field("k", self.k), "network.k")
+        if preset == "complete":
+            return functools.partial(complete_network, self.k)
         edges = field("edges", [], [[int]])
         for edge in edges:
             if len(edge) != 2:
                 raise ValueError(f"config network.edges entry {edge} is not a pair of agents")
-        return AgentNetwork(k, edges)
+        net = AgentNetwork(self.k, edges)  # its own checks of the pairs; as big as the input
+        return lambda: net
+
+    def build_network(self) -> AgentNetwork:
+        return self._network()
 
     def to_payload(self) -> dict:
         c, theta = self.constraint, self.theta_true
@@ -271,8 +272,6 @@ class ExperimentConfig:
         refuse_unknown(payload, "", "a config", [f.name for f in fields(cls)])
         refuse_unknown(payload.get("constraint") or {}, "constraint.", "the constraint section",
                        ("f", "F"))
-        if payload.get("network"):
-            network_preset(payload["network"])
 
         def field(key: str, default: Any = None, kind: Any = int):
             *section, leaf = key.split(".")

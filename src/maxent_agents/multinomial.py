@@ -19,6 +19,10 @@ evaluates the log of the product from the (k, N) log columns of a node set.
 A zero exponent contributes exactly 0 in log space, so its column is
 skipped (so 0 * log 0 never arises); a positive exponent on a zero
 coordinate gives -inf and a negative one +inf.
+
+The simulator checks theta with `theta_point` and draws Multinomial(n, theta)
+from Philox(SeedSequence(seed, spawn_key=(0,))), a fixed derivation: a seed's
+counts are the same on every platform and thread count.
 """
 from __future__ import annotations
 
@@ -27,8 +31,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-
-from .simplex import ThetaPoint, dirichlet_sampler
 
 
 @dataclass(frozen=True)
@@ -162,11 +164,25 @@ def view_log_likelihood_nodes(view: AgentView, nodes: np.ndarray,
     return out
 
 
-def simulate_rolls(theta_true, n: int, seed: int) -> CountVector:
+def theta_point(values: Iterable[float]) -> np.ndarray:
+    """`values` as a point on the probability simplex, a float array of at least
+    2 components, each >= 0, that sum to 1 within 1e-12; else a ValueError."""
+    components = tuple(float(v) for v in values)
+    if len(components) < 2:
+        raise ValueError("theta needs at least 2 components")
+    if not all(c >= 0.0 for c in components):  # refuses NaN too
+        raise ValueError(f"theta components must be >= 0, got {components}")
+    t = np.asarray(components, dtype=float)
+    total = float(np.sum(np.sort(t)))
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"theta components must sum to 1 (got {total!r})")
+    return t
+
+
+def simulate_rolls(theta_true: Iterable[float], n: int, seed: int) -> CountVector:
     """Roll the die n times: counts ~ Multinomial(n, theta_true), seeded."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    t = theta_true.as_array() if isinstance(theta_true, ThetaPoint) else ThetaPoint.of(theta_true).as_array()
-    rng = dirichlet_sampler(seed)
-    counts = rng.multinomial(n, t / t.sum())
-    return CountVector.of(counts)
+    t = theta_point(theta_true)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
+    return CountVector.of(rng.multinomial(n, t / t.sum()))

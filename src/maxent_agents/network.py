@@ -50,14 +50,13 @@ def complete_network(k: int) -> AgentNetwork:
 
 
 def triangle_lattice_network(rows: int, cols: int) -> AgentNetwork:
-    """Parallelogram patch of the triangular lattice; interior degree is 6.
+    """Parallelogram patch of the triangular lattice, rows, cols >= 1; interior
+    degree is 6.
 
     Vertex (i, j) is agent i*cols + j + 1; neighbor offsets are (0, +-1),
     (+-1, 0), (+1, -1) and (-1, +1).  Boundary agents simply have fewer
     neighbors.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
     edges = []
     offsets = [(0, 1), (1, 0), (1, -1)]
     for i in range(rows):
@@ -71,7 +70,7 @@ def triangle_lattice_network(rows: int, cols: int) -> AgentNetwork:
 
 
 def views_at_round(net: AgentNetwork, counts: CountVector, round: int) -> dict[int, AgentView]:
-    """Each agent's view after `round` hops of glancing.
+    """Each agent's view after `round` >= 0 hops of glancing.
 
     Agent a sees the counts of the sides of every agent within graph
     distance <= round, its own side included: its seen set grows by one
@@ -79,8 +78,6 @@ def views_at_round(net: AgentNetwork, counts: CountVector, round: int) -> dict[i
     """
     if counts.k != net.k:
         raise ValueError(f"counts have k={counts.k} but network has k={net.k}")
-    if round < 0:
-        raise ValueError("round must be >= 0")
     views = {}
     for agent in range(1, net.k + 1):
         seen, frontier = {agent}, {agent}

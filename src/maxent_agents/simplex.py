@@ -1,12 +1,11 @@
-"""Quadrature nodes and the seeded generator on the probability simplex.
+"""Quadrature nodes on the probability simplex.
 
 All expectations are taken with respect to the *normalized* uniform measure
 on the (k-1)-simplex, i.e. the flat Dirichlet(1,...,1) distribution.  With
 that convention the expectation of the constant 1 is exactly 1 and no
 simplex-volume bookkeeping is needed anywhere downstream.  An engine's
 basis is a `NodeSet`: nodes plus log-weights of that measure.  The grid rule
-below supplies the lattice engine's; `dirichlet_sampler` supplies the
-generator of the die-roll simulator.
+below supplies the lattice engine's.
 
 The grid rule places one node per composition (c_1,...,c_k) of the
 resolution r into k non-negative parts,
@@ -21,7 +20,8 @@ term that decays rapidly with the order to which the integrand vanishes on
 the simplex boundary.  Nodes never touch the boundary (integrands may
 contain log theta_i), the layout is exactly symmetric under coordinate
 permutations, and weight normalization is exact by construction.  A grid
-of more than NODE_BUDGET nodes is refused.
+of more than NODE_BUDGET nodes, or of more than COORD_BUDGET coordinates
+(N nodes times k, 128 MB per float64 table), is refused before it is built.
 
 Everything here is a pure function of its inputs.  A node set's arrays are
 read-only, so writing to one raises.  A grid is built once per (k, r) and
@@ -32,46 +32,18 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-THETA_SUM_TOL = 1e-12
 NODE_BUDGET = 10**6
+COORD_BUDGET = 16 * NODE_BUDGET
 GRID_CACHE_SIZE = 4
 MARGINAL_BINS = 100
 MARGINAL_EDGES = np.linspace(0.0, 1.0, MARGINAL_BINS + 1)
 
 
 class NodeBudgetError(ValueError):
-    """A requested grid would exceed NODE_BUDGET nodes."""
-
-
-@dataclass(frozen=True)
-class ThetaPoint:
-    """A point on the probability simplex: components >= 0 summing to 1."""
-
-    components: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.components) < 2:
-            raise ValueError("theta needs at least 2 components")
-        if not all(c >= 0.0 for c in self.components):  # refuses NaN too
-            raise ValueError(f"theta components must be >= 0, got {self.components}")
-        total = float(np.sum(np.sort(np.asarray(self.components, dtype=float))))
-        if abs(total - 1.0) > THETA_SUM_TOL:
-            raise ValueError(f"theta components must sum to 1 (got {total!r})")
-
-    @classmethod
-    def of(cls, values: Iterable[float]) -> "ThetaPoint":
-        return cls(tuple(float(v) for v in values))
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.components, dtype=float)
+    """A requested grid would exceed NODE_BUDGET nodes or COORD_BUDGET coordinates."""
 
 
 def compositions(total: int, parts: int) -> np.ndarray:
@@ -155,7 +127,8 @@ def build_grid(k: int, r: int) -> NodeSet:
     Raises
     ------
     NodeBudgetError
-        if C(r+k-1, k-1) exceeds NODE_BUDGET, the fixed cap on grid nodes.
+        if N = C(r+k-1, k-1) exceeds NODE_BUDGET, the fixed cap on grid nodes,
+        or N * k exceeds COORD_BUDGET, the fixed cap on the coordinates held.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -167,20 +140,14 @@ def build_grid(k: int, r: int) -> NodeSet:
             f"grid for k={k}, r={r} needs {n_nodes} nodes "
             f"(budget {NODE_BUDGET}); set a smaller config engine.grid or --grid"
         )
+    if n_nodes * k > COORD_BUDGET:
+        raise NodeBudgetError(
+            f"grid for k={k}, r={r} needs {n_nodes} nodes x {k} = {n_nodes * k} coordinates "
+            f"(budget {COORD_BUDGET}); set a smaller config engine.grid or --grid"
+        )
     counts = compositions(r, k)
     D, s = lattice_scale(k, r)
     nodes = (counts + s) / D
     return NodeSet(nodes, np.ascontiguousarray(np.log(nodes.T)),
                    np.full(n_nodes, -np.log(n_nodes)))
 
-
-def dirichlet_sampler(seed: int) -> np.random.Generator:
-    """Counter-based generator for a seed.
-
-    The generator is Philox(SeedSequence(seed, spawn_key=(0,)));
-    this derivation is fixed so results are reproducible across platforms
-    and thread counts.
-    """
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,)))
-    )

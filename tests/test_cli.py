@@ -299,7 +299,8 @@ class TestSerialization:
             prior=(1.0, 2.0, 0.5),
             constraint=ConstraintSpec.of([1, 0, -2], 0.125),
             theta_true=(0.5, 0.3, 0.2),
-            network={"preset": "triangle-lattice", "rows": 2, "cols": 2},
+            # A 1x3 lattice: the 2x2 this used to hold has 4 agents, refused at k = 3.
+            network={"preset": "triangle-lattice", "rows": 1, "cols": 3},
             round=1,
             engine=EngineSettings(grid=30),
         )
@@ -831,6 +832,47 @@ class TestInputChecks:
         assert code == 4
         assert err == f"error: config {named} agents, but config k is 3\n"
 
+    @pytest.mark.parametrize("overrides, named", [
+        # Each ran to exit 0 under some commands but not under others.
+        pytest.param({"network": {"preset": "triangle-lattice", "rows": "x", "cols": 3}},
+                     "config network.rows must be an integer, got 'x'", id="rows-x"),
+        pytest.param({"network": {"preset": "triangle-lattice", "rows": 2, "cols": 2}},
+                     "config network.rows * network.cols gives 4 agents, but config k is 3",
+                     id="lattice-2x2"),
+        pytest.param({"network": {"preset": "triangle-lattice", "rows": -1, "cols": -3}},
+                     "rows and cols must be >= 1", id="lattice-negative"),
+        pytest.param({"network": {"edges": [[1, 4]]}}, "edge (1, 4) out of range [1, 3]",
+                     id="edge-out-of-range"),
+        pytest.param({"network": {"edges": [[2, 2]]}}, "self-loop on agent 2", id="self-loop"),
+        pytest.param({"prior": [-1.0, 1.0, 1.0]},
+                     "prior Dirichlet parameters must be finite and > 0, got (-1.0, 1.0, 1.0)",
+                     id="negative-prior"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "infer", "network", "sweep-beta"])
+    def test_every_command_refuses_the_same_config(self, tmp_path, capsys, command, overrides,
+                                                   named):
+        argv = [command, "--config", str(write_config(tmp_path / "c.json", **overrides))]
+        if command == "sweep-beta":
+            argv += ["--beta-min", "0", "--beta-max", "1", "--beta-step", "0.5"]
+        if command != "simulate":
+            write_payload(tmp_path / "counts.json", COUNTS)
+            argv += ["--counts", str(tmp_path / "counts.json")]
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["infer", "network", "sweep-beta"])
+    def test_counts_k_mismatch(self, tmp_path, capsys, command):
+        config = write_config(tmp_path / "c.json", k=4, prior=[1.0] * 4, theta_true=None,
+                              constraint={"f": [1.0, 0.0, 0.0, -2.0], "F": 0.0})
+        argv = [command, "--config", str(config)]
+        if command == "sweep-beta":
+            argv += ["--beta-min", "0", "--beta-max", "1", "--beta-step", "0.5"]
+        code, err = self._run(tmp_path, capsys, argv)
+        assert code == 4
+        assert err == "error: counts file has k=3, config has k=4\n"
+
     def test_sweep_row_cap(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json")
         code, err = self._run(tmp_path, capsys, [
@@ -964,6 +1006,22 @@ class TestNetworkCmd:
         assert code == 2
         record = json.loads((tmp_path / "x.json").read_text())
         assert all("error" in a for a in record["agents"])
+
+    def test_all_fail_short_of_infeasible_exit_code(self, tmp_path):
+        # F = 0.999999999999 is feasible, but beyond every r=30 node's f (round 0
+        # gives three views): each agent fails to converge, and the command exits 3.
+        config = write_config(tmp_path / "c.json", engine={"grid": 30})
+        code = main(["network", "--config", str(config),
+                     "--counts", str(self._counts(tmp_path)),
+                     "--out", str(tmp_path / "x.json"), "--round", "0",
+                     "--constraint", "f=1,0,-2;F=0.999999999999"])
+        assert code == 3
+        record = json.loads((tmp_path / "x.json").read_text())
+        assert [a["agent"] for a in record["agents"]] == [1, 2, 3]
+        for a in record["agents"]:
+            assert a["error"].startswith(f"agent {a['agent']}: target F = 0.999999999999 lies "
+                                         "outside (")
+        assert record["divergence_agents"] == [] and record["divergences"] == []
 
 
 class TestSweepBeta:

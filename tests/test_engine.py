@@ -286,6 +286,83 @@ class TestNewtonSolve:
         assert belief.solved.expected_f == pytest.approx(0.0, abs=1e-9)
 
 
+class FixedNodes:
+    """An engine whose basis is the given (N, k) nodes, with log-weights `logw`
+    (equal weights if None)."""
+
+    def __init__(self, nodes, logw=None):
+        nodes = np.asarray(nodes, dtype=float)
+        self.k = nodes.shape[1]
+        if logw is None:
+            logw = np.full(nodes.shape[0], -np.log(nodes.shape[0]))
+        self.nodes = NodeSet(nodes, log_columns(nodes), np.asarray(logw, dtype=float))
+
+    def basis(self, prior, view):
+        return self.nodes
+
+
+# Three nodes 1e-3 from the vertices of the simplex.
+NEAR_VERTICES = [[0.998, 0.001, 0.001], [0.001, 0.998, 0.001], [0.001, 0.001, 0.998]]
+
+
+class TestSolverGuards:
+    """Each branch of the beta solve that ordinary fits never take."""
+
+    def test_no_newton_slope_takes_capped_steps_then_bisects(self, monkeypatch):
+        # The first node carries all the mass at beta = 0: the others weigh e^-800
+        # and underflow, so Var f = 0, <f> sits on the top level and no Newton step
+        # exists.  The solve steps at the cap until the bracket closes, and bisects
+        # wherever the mass has jumped to one end again.
+        logw = np.array([0.0, -800.0, -800.0]) - np.log1p(2 * math.exp(-800.0))
+        engine = FixedNodes(NEAR_VERTICES, logw)
+        fam = _TiltedFamily(FLAT3, AgentView.empty(3, 0), BIAS, engine)
+        assert fam.level_moments(0.0) == (float(fam.levels.max()), 0.0)
+        evals = []  # (beta, <f>) of each level evaluation
+        level_moments = _TiltedFamily.level_moments
+
+        def recording(self, beta):
+            moments = level_moments(self, beta)
+            evals.append((beta, moments[0]))
+            return moments
+
+        monkeypatch.setattr(_TiltedFamily, "level_moments", recording)
+        solved = solve_beta(FLAT3, AgentView.empty(3, 0), BIAS, engine)
+        betas = [beta for beta, _ in evals]
+        assert betas[:4] == [0.0, -1.0, -3.0, -9.0]  # the capped steps: max(1, 2|beta|)
+        bisections = 0
+        for i, beta in enumerate(betas[1:], 1):  # F = 0 splits the betas seen so far
+            lo = max((b for b, e in evals[:i] if e < 0.0), default=-math.inf)
+            hi = min((b for b, e in evals[:i] if e >= 0.0), default=math.inf)
+            bisections += beta == 0.5 * (lo + hi)
+        assert bisections > 0
+        ref = brentq(lambda b: fam.mean_f(fam.tilt(b)[0]), -400.0, 0.0, xtol=1e-13)
+        assert solved.residual <= SOLVER_TOL
+        assert solved.beta == pytest.approx(ref, abs=1e-9)
+
+    def test_bracket_below_float_resolution_stalls(self):
+        # At f = 1e9 (1, 0, -2) the tolerance 1e-9 on <f> is 1e-18 relative, below
+        # what a double resolves: the bracket closes first, and that is an error.
+        with pytest.raises(ConvergenceError, match="beta solve stalled: .* > tol = 1e-09"):
+            solve_beta(FLAT3, AgentView.empty(3, 0), ConstraintSpec.of([1e9, 0.0, -2e9], 0.0),
+                       GridEngine(3, 30))
+
+    def test_target_past_the_multiplier_cap(self):
+        # f's top two levels on the r=30 grid differ by about 3e-6, so <f> reaches
+        # 1e-7 below the top only at a beta far past 2^16.
+        f = (1.0, 0.9999, 0.0)
+        engine = GridEngine(3, 30)
+        top = float((engine.grid.nodes @ np.asarray(f)).max())
+        with pytest.raises(ConvergenceError, match=r"no bracket: <f>\(65536\) = .* still below"):
+            solve_beta(FLAT3, AgentView.empty(3, 0), ConstraintSpec.of(f, top - 1e-7), engine)
+
+    def test_log_integrand_not_finite(self):
+        # A node on the face theta_1 = 0, under a view that saw side 1 once.
+        engine = FixedNodes([[0.0, 0.5, 0.5], [0.5, 0.25, 0.25]])
+        view = AgentView.from_mapping(3, 2, {1: 1})
+        with pytest.raises(ValueError, match=r"log-integrand is not finite at node 0 "):
+            solve_beta(FLAT3, view, ConstraintSpec.none(3), engine)
+
+
 class TestLevelSolve:
     """The Newton loop runs on f's levels; its beta and log zeta must equal a
     loop over every node, and every level's folded mass must be exact."""
@@ -497,6 +574,18 @@ class TestEntropy:
         with pytest.raises(ConvergenceError, match="entropy identity violated"):
             me_entropy(belief)
 
+    def test_normalization_gate_catches_what_the_identity_misses(self, eng240):
+        # With no data |s_me| = 0.154, so a log zeta off by 1e-6 moves the identity
+        # by only 1.5e-7, inside its 1e-6 bound; the normalization, 1 - 1e-6, is refused.
+        solved = solve_beta(FLAT3, AgentView.empty(3, 0), BIAS, eng240)
+        assert me_entropy(posterior_summary(solved, posterior(solved))) == pytest.approx(
+            -0.154, abs=1e-3)
+        bad = dataclasses.replace(solved, log_zeta=solved.log_zeta + 1e-6)
+        belief = posterior_summary(bad, posterior(bad))
+        with pytest.raises(ConvergenceError, match=r"normalization = 0\.99999900\d* misses 1 by "
+                                                   r"more than 1e-09"):
+            me_entropy(belief)
+
 
 class TestEngineSettings:
     def test_defaults(self):
@@ -577,17 +666,10 @@ class TestMarginals:
             np.random.default_rng(5).uniform(size=2_000),
         ])
         x = x[(x >= 0.0) & (x <= 1.0)]
-        nodes = np.column_stack([x, 1.0 - x])
-
-        class FixedNodes:
-            k = 2
-
-            def basis(self, prior, view):
-                logw = np.log(np.random.default_rng(6).uniform(0.5, 1.5, size=x.size))
-                return NodeSet(nodes, log_columns(nodes), logw - np.log(np.exp(logw).sum()))
-
+        logw = np.log(np.random.default_rng(6).uniform(0.5, 1.5, size=x.size))
+        engine = FixedNodes(np.column_stack([x, 1.0 - x]), logw - np.log(np.exp(logw).sum()))
         solved = solve_beta(PriorSpec.flat(2), AgentView.empty(2, 0), ConstraintSpec.none(2),
-                            FixedNodes())
+                            engine)
         assert {0.0, 1.0} <= set(x.tolist())
         assert_marginals_are_histograms(dyadic_summary(solved))
 

@@ -10,7 +10,6 @@ from scipy.special import xlogy
 from maxent_agents import (
     AgentView,
     CountVector,
-    ThetaPoint,
     build_grid,
     simulate_rolls,
 )
@@ -283,25 +282,25 @@ class TestPowerKernel:
 
 class TestSimulateRolls:
     def test_degenerate_die(self):
-        counts = simulate_rolls(ThetaPoint.of([1.0, 0.0, 0.0]), 10, seed=1)
+        counts = simulate_rolls([1.0, 0.0, 0.0], 10, seed=1)
         assert counts.counts == (10, 0, 0)
 
     def test_zero_rolls(self):
-        assert simulate_rolls(ThetaPoint.of([0.5, 0.5]), 0, seed=1).counts == (0, 0)
+        assert simulate_rolls([0.5, 0.5], 0, seed=1).counts == (0, 0)
 
     def test_deterministic(self):
-        a = simulate_rolls(ThetaPoint.of([0.5, 0.3, 0.2]), 50, seed=42)
-        b = simulate_rolls(ThetaPoint.of([0.5, 0.3, 0.2]), 50, seed=42)
+        a = simulate_rolls([0.5, 0.3, 0.2], 50, seed=42)
+        b = simulate_rolls([0.5, 0.3, 0.2], 50, seed=42)
         assert a == b
-        c = simulate_rolls(ThetaPoint.of([0.5, 0.3, 0.2]), 50, seed=43)
+        c = simulate_rolls([0.5, 0.3, 0.2], 50, seed=43)
         assert c != a
 
     def test_law_of_large_numbers(self):
         theta = (0.5, 0.3, 0.2)
-        counts = simulate_rolls(ThetaPoint.of(theta), 100_000, seed=42)
+        counts = simulate_rolls(theta, 100_000, seed=42)
         freqs = np.asarray(counts.counts) / counts.n
         assert np.abs(freqs - np.array(theta)).max() <= 0.01
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
-            simulate_rolls(ThetaPoint.of([0.5, 0.5]), -1, seed=0)
+            simulate_rolls([0.5, 0.5], -1, seed=0)

@@ -11,11 +11,11 @@ from maxent_agents import (
     GridEngine,
     NodeBudgetError,
     PriorSpec,
-    ThetaPoint,
     build_grid,
 )
-from maxent_agents.multinomial import simulate_rolls
-from maxent_agents.simplex import compositions
+from maxent_agents import simplex as simplex_module
+from maxent_agents.multinomial import simulate_rolls, theta_point
+from maxent_agents.simplex import NODE_BUDGET, compositions
 from oracles import compositions as compositions_oracle
 
 EXP_TH1 = 2 * math.e - 4  # int_0^1 e^t * 2(1-t) dt, the Beta(1,2) marginal of theta_1
@@ -33,25 +33,26 @@ def mc_mean(vals: np.ndarray) -> tuple[float, float]:
 
 
 class TestThetaPoint:
+    # theta_point, the simulator's check of theta_true, refuses what is not on the simplex.
     def test_valid(self):
-        t = ThetaPoint.of([0.5, 0.3, 0.2])
-        assert t.k == 3
-        assert t.as_array().sum() == pytest.approx(1.0, abs=1e-12)
+        t = theta_point([0.5, 0.3, 0.2])
+        assert t.dtype == float and t.tolist() == [0.5, 0.3, 0.2]
+        assert t.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_boundary_allowed(self):
-        ThetaPoint.of([1.0, 0.0, 0.0])
+        theta_point([1.0, 0.0, 0.0])
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ThetaPoint.of([1.1, -0.1, 0.0])
+        with pytest.raises(ValueError, match="must be >= 0"):
+            theta_point([1.1, -0.1, 0.0])
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            ThetaPoint.of([0.5, 0.3, 0.3])
+        with pytest.raises(ValueError, match="must sum to 1"):
+            theta_point([0.5, 0.3, 0.3])
 
     def test_rejects_scalar(self):
-        with pytest.raises(ValueError):
-            ThetaPoint.of([1.0])
+        with pytest.raises(ValueError, match="at least 2 components"):
+            theta_point([1.0])
 
 
 class TestBuildGrid:
@@ -83,6 +84,18 @@ class TestBuildGrid:
         with pytest.raises(NodeBudgetError, match="engine.grid or --grid"):
             build_grid(16, 9)
         build_grid(16, 8)  # C(23,15) = 490314 fits the default budget
+
+    def test_coordinate_budget(self, monkeypatch):
+        # k = 1000 at r = 2 has 500,500 nodes, inside NODE_BUDGET, but 500.5 M
+        # coordinates, 4 GB per float64 table: refused before the table is built.
+        def no_table(*args):
+            raise AssertionError("the composition table was built")
+
+        monkeypatch.setattr(simplex_module, "compositions", no_table)
+        with pytest.raises(NodeBudgetError, match=r"500500 nodes x 1000 = 500500000 coordinates"):
+            build_grid(1000, 2)
+        with pytest.raises(NodeBudgetError, match=r"\(budget 16000000\)"):
+            build_grid(NODE_BUDGET, 1)  # NODE_BUDGET nodes of NODE_BUDGET coordinates
 
     def test_deterministic(self):
         a, b = build_grid(3, 17), build_grid(3, 17)
